@@ -1,17 +1,36 @@
 (* The benchmark harness: one experiment per table/figure of the paper
-   plus the ablations called out in DESIGN.md §8.
+   plus the ablations called out in DESIGN.md §8, all in one registry.
 
-     dune exec bench/main.exe               — run everything
+     dune exec bench/main.exe               — every experiment, then machcheck
      dune exec bench/main.exe -- table2     — one experiment
+     dune exec bench/main.exe -- machcheck  — the checker profile only
+     dune exec bench/main.exe -- --smoke    — tiny sizes, diffed exactly
+                                              against smoke/ (run in bench/)
+     dune exec bench/main.exe -- ab A.json B.json [--threshold 0.05]
      dune exec bench/main.exe -- --bechamel — host-time Bechamel suite
+
+   Each registry entry names its BENCH_*.json file and its size under
+   each profile; [Experiment.run] is the one loop over it.  Gates are
+   data: each result lists them, they are printed and written under
+   "gates", and a failed gate, a Machcheck finding or (for --smoke) any
+   leaf that differs from the checked-in baseline makes the exit status
+   1.  Usage errors exit 2.
 
    Paper reference values are printed beside every measurement; absolute
    agreement is not expected (the substrate is a simulator, not the
    authors' testbed), the shape is what must hold. *)
 
-let hr title =
-  Printf.printf "\n==== %s %s\n" title
-    (String.make (max 1 (66 - String.length title)) '=')
+open Workloads
+
+let hr = Experiment.hr
+
+let sized ?smoke ?machcheck full = { Experiment.full; smoke; machcheck }
+
+(* An experiment that only prints: it runs in full runs and writes no
+   file. *)
+let printed name table =
+  Experiment.make name (sized ignore) (fun () ->
+      Experiment.result ~table [])
 
 (* --- E1: Table 1 ----------------------------------------------------------- *)
 
@@ -23,58 +42,64 @@ let paper_table1 =
     ("PM Tasking High", 1.02);
   ]
 
-let fresh_wpos_api () = Workloads.Api.of_wpos (Wpos.boot ())
+let fresh_wpos_api () = Api.of_wpos (Wpos.boot ())
 
 let fresh_native_api () =
   (* OS/2 Warp on a 16 MB Pentium *)
   let m = Machine.create Machine.Config.pentium_133 in
-  Workloads.Api.of_monolithic (Monolithic.boot m ~fs_format:`Hpfs ())
+  Api.of_monolithic (Monolithic.boot m ~fs_format:`Hpfs ())
 
-let table1 () =
-  hr "E1 / Table 1: OS/2 performance, WPOS-to-native elapsed-time ratio";
-  Printf.printf "%-20s %-24s %14s %14s %7s %7s\n" "Test" "Application content"
-    "WPOS cycles" "native cycles" "ratio" "paper";
-  let rows =
-    List.map
-      (fun spec ->
-        let row =
-          Workloads.Table1.compare_systems ~wpos:(fresh_wpos_api ())
-            ~native:(fresh_native_api ()) spec
-        in
-        let paper = List.assoc spec.Workloads.Table1.id paper_table1 in
-        Printf.printf "%-20s %-24s %14d %14d %7.2f %7.2f\n%!"
-          row.Workloads.Table1.row_id spec.Workloads.Table1.app
-          row.Workloads.Table1.wpos_cycles row.Workloads.Table1.native_cycles
-          row.Workloads.Table1.ratio paper;
-        row)
-      Workloads.Table1.all
-  in
-  Printf.printf "%-20s %-24s %14s %14s %7.2f %7.2f\n" "Overall" "" "" ""
-    (Workloads.Table1.overall rows)
-    1.21
+let table1_rows specs =
+  List.map
+    (fun spec ->
+      ( spec,
+        Table1.compare_systems ~wpos:(fresh_wpos_api ())
+          ~native:(fresh_native_api ()) spec ))
+    specs
+
+let table1_report rows_ =
+  Experiment.result
+    [
+      ( "rows",
+        Json.rows
+          (fun ((spec : Table1.spec), (row : Table1.row)) ->
+            [ ("workload", Json.Str row.row_id); ("app", Json.Str spec.app);
+              ("wpos_cycles", Json.int row.wpos_cycles);
+              ("native_cycles", Json.int row.native_cycles);
+              ("ratio", Json.fixed 3 row.ratio);
+              ("paper_ratio", Json.Num (List.assoc spec.id paper_table1)) ])
+          rows_ );
+      ("overall", Json.fixed 3 (Table1.overall (List.map snd rows_)));
+      ("paper_overall", Json.Num 1.21);
+    ]
 
 (* --- E2: Table 2 ------------------------------------------------------------ *)
 
-let table2 () =
-  hr "E2 / Table 2: trap versus RPC (Pentium performance counters)";
-  let trap, rpc = Workloads.Micro.table2 () in
-  let open Workloads.Micro in
-  Printf.printf "%-14s %12s %12s %12s %8s\n" "" "instructions" "cycles"
-    "bus cycles" "CPI";
-  let line (r : table2_row) =
-    Printf.printf "%-14s %12.0f %12.0f %12.0f %8.2f\n" r.t2_label
-      r.t2_instructions r.t2_cycles r.t2_bus_cycles r.t2_cpi
+(* Table 2 row by row: the measured trap and RPC counters, their ratio,
+   and the paper's three rows beside them. *)
+let table2_report ((trap : Micro.table2_row), (rpc : Micro.table2_row)) =
+  let row label digits (i, c, b, cpi) =
+    [ ("row", Json.Str label); ("instructions", Json.fixed digits i);
+      ("cycles", Json.fixed digits c); ("bus_cycles", Json.fixed digits b);
+      ("cpi", Json.fixed 2 cpi) ]
   in
-  line trap;
-  line rpc;
-  Printf.printf "%-14s %12.2f %12.2f %12.2f %8.2f\n" "ratio"
-    (rpc.t2_instructions /. trap.t2_instructions)
-    (rpc.t2_cycles /. trap.t2_cycles)
-    (rpc.t2_bus_cycles /. trap.t2_bus_cycles)
-    (rpc.t2_cpi /. trap.t2_cpi);
-  Printf.printf
-    "paper:         trap 465 / 970 / 218 / 2.0; RPC 1317 / 5163 / 1849 / 3.9;\n\
-    \               ratios 2.83 / 5.32 / 8.48 / 1.95\n"
+  let counters (r : Micro.table2_row) =
+    (r.t2_instructions, r.t2_cycles, r.t2_bus_cycles, r.t2_cpi)
+  in
+  let ratio (i, c, b, cpi) (i', c', b', cpi') =
+    (i' /. i, c' /. c, b' /. b, cpi' /. cpi)
+  in
+  Experiment.result
+    [
+      ( "rows",
+        Json.rows Fun.id
+          [ row trap.t2_label 0 (counters trap);
+            row rpc.t2_label 0 (counters rpc);
+            row "ratio" 2 (ratio (counters trap) (counters rpc));
+            row "paper trap" 0 (465., 970., 218., 2.0);
+            row "paper RPC" 0 (1317., 5163., 1849., 3.9);
+            row "paper ratio" 2 (2.83, 5.32, 8.48, 1.95) ] );
+    ]
 
 (* --- E3: the 2-10x IPC improvement ------------------------------------------ *)
 
@@ -96,380 +121,6 @@ let figure_ipc () =
     "paper: \"a two to ten times improvement in message-passing performance\n\
     \       with the improvement's magnitude depending primarily on the\n\
     \       number of bytes transmitted\"\n"
-
-(* --- ipc-stress: sustained throughput, machine-readable ----------------------- *)
-
-let ipc_stress () =
-  hr "ipc-stress: sustained round-trip throughput under worker load";
-  let r = Workloads.Ipc_stress.run () in
-  let open Workloads.Ipc_stress in
-  Printf.printf "%d worker pairs x %d round trips per point\n\n" r.r_workers
-    r.r_iters;
-  Printf.printf "%-10s %8s %20s %18s\n" "system" "bytes" "sim cycles/op"
-    "host ns/op";
-  List.iter
-    (fun p ->
-      Printf.printf "%-10s %8d %20.1f %18.1f\n" p.pt_system p.pt_bytes
-        p.pt_sim_cycles_per_op p.pt_host_ns_per_op)
-    r.r_points;
-  Printf.printf
-    "\nreply-port cache: %d hits / %d misses\n\
-     kernel msg buffers: %d allocs, %d frees, %d arena recycles, peak %d bytes\n"
-    r.r_reply_hits r.r_reply_misses r.r_kbuf_allocs r.r_kbuf_frees
-    r.r_kbuf_recycles r.r_kbuf_peak_bytes;
-  let json = to_json r in
-  let oc = open_out "BENCH_ipc.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_ipc.json\n"
-
-(* --- fault-sweep: resilience under injected server crashes ------------------- *)
-
-let fault_sweep () =
-  hr "fault-sweep: E1-style file workload under injected file-server crashes";
-  let r = Workloads.Fault_sweep.run () in
-  let open Workloads.Fault_sweep in
-  Printf.printf
-    "%d clients x %d edit sessions per point; seed %d; baseline %.0f cycles/op\n\n"
-    r.r_clients r.r_sessions r.r_seed r.r_baseline_cycles_per_op;
-  Printf.printf "%10s %10s %10s %10s %8s %8s %9s %8s %14s %12s\n" "crash_ppm"
-    "completed" "crashes" "disk_flts" "restarts" "retries" "reopens" "gave_up"
-    "cycles/op" "added/op";
-  List.iter
-    (fun p ->
-      Printf.printf "%10d %6d/%-3d %10d %10d %8d %8d %9d %8b %14.0f %12.0f\n"
-        p.p_crash_ppm p.p_completed p.p_ops p.p_injected_crashes
-        p.p_disk_faults p.p_restarts p.p_retries p.p_reopens p.p_gave_up
-        p.p_cycles_per_op
-        (p.p_cycles_per_op -. r.r_baseline_cycles_per_op))
-    r.r_points;
-  let json = to_json r in
-  let oc = open_out "BENCH_faults.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_faults.json\n"
-
-(* --- recovery-sweep: crash-point enumeration over the journalled FS ----------- *)
-
-let recovery_sweep () =
-  hr "recovery-sweep: power cut at every disk write, recover, verify";
-  (* exhaustive: the cap sits far above the script's write count, so
-     every single crash point is enumerated, none sampled *)
-  let r = Workloads.Recovery_sweep.run ~max_points:1024 () in
-  let open Workloads.Recovery_sweep in
-  Printf.printf
-    "%d scripted ops issue %d disk writes; %d crash point(s) checked%s\n\
-     lost acknowledged writes: %d   torn recovered states: %d   (expected 0/0)\n\n"
-    r.r_ops r.r_total_writes r.r_points_checked
-    (if r.r_exhaustive then " (exhaustive)" else " (sampled)")
-    r.r_lost_writes r.r_torn_states;
-  Printf.printf "%8s %8s %10s %10s %10s %6s %6s %14s\n" "write" "acked"
-    "replayed" "blocks" "discarded" "lost" "torn" "recovery_cyc";
-  List.iter
-    (fun p ->
-      Printf.printf "%8d %8d %10d %10d %10d %6d %6d %14d\n" p.cp_write
-        p.cp_acked p.cp_replayed_txns p.cp_replayed_blocks p.cp_discarded
-        p.cp_lost p.cp_torn p.cp_recovery_cycles)
-    r.r_points;
-  Printf.printf "\njournal overhead vs the same engine without a journal:\n";
-  Printf.printf "%6s %16s %16s %10s %12s %12s %10s\n" "ops" "plain cyc/op"
-    "jfs cyc/op" "overhead" "plain wr" "jfs wr" "jrecords";
-  List.iter
-    (fun p ->
-      Printf.printf "%6d %16.0f %16.0f %9.1f%% %12d %12d %10d\n" p.ov_ops
-        p.ov_plain_cycles_per_op p.ov_jfs_cycles_per_op
-        (if p.ov_plain_cycles_per_op > 0.0 then
-           (p.ov_jfs_cycles_per_op -. p.ov_plain_cycles_per_op)
-           /. p.ov_plain_cycles_per_op *. 100.0
-         else 0.0)
-        p.ov_plain_disk_writes p.ov_jfs_disk_writes p.ov_journal_records)
-    r.r_overhead;
-  Printf.printf "\nrecovery latency vs journal fill:\n";
-  Printf.printf "%6s %10s %10s %10s %14s\n" "ops" "jrecords" "replayed"
-    "blocks" "recovery_cyc";
-  List.iter
-    (fun p ->
-      Printf.printf "%6d %10d %10d %10d %14d\n" p.lt_ops p.lt_journal_records
-        p.lt_replayed_txns p.lt_replayed_blocks p.lt_recovery_cycles)
-    r.r_latency;
-  let json = to_json r in
-  let oc = open_out "BENCH_recovery.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_recovery.json\n";
-  if r.r_lost_writes > 0 || r.r_torn_states > 0 then exit 1
-
-(* --- smp-scaling: throughput vs cores on the multi-CPU machine ---------------- *)
-
-let smp_scaling () =
-  hr "smp-scaling: ipc-stress and the file-server workload at 1/2/4/8 CPUs";
-  let r = Workloads.Smp_scaling.run () in
-  let open Workloads.Smp_scaling in
-  Printf.printf
-    "ipc: %d pairs x %d round trips of %d bytes; fileserver: %d clients x %d \
-     sessions\n\n"
-    r.r_pairs r.r_iters r.r_bytes r.r_clients r.r_sessions;
-  Printf.printf "%-10s %-10s %5s %12s %12s %8s %7s %7s %7s %8s %12s\n"
-    "workload" "placement" "ncpus" "wall cycles" "ops/Mcycle" "speedup"
-    "ipis" "xmsgs" "steals" "coh" "bus stall";
-  List.iter
-    (fun p ->
-      Printf.printf "%-10s %-10s %5d %12d %12.1f %7.2fx %7d %7d %7d %8d %12d\n"
-        p.sp_workload p.sp_placement p.sp_ncpus p.sp_wall_cycles
-        p.sp_throughput p.sp_speedup p.sp_ipis p.sp_xmsgs p.sp_steals
-        p.sp_coherence_misses p.sp_bus_stall_cycles)
-    r.r_points;
-  Printf.printf "\nmachine state (per-CPU caches/TLBs plus shared directory):\n";
-  List.iter
-    (fun (s : Machine.Footprint.machine_state) ->
-      Printf.printf
-        "  %d cpu(s): %d B/cpu cache + %d B/cpu tlb + %d B directory = %d B\n"
-        s.Machine.Footprint.ms_ncpus s.Machine.Footprint.ms_cache_bytes_per_cpu
-        s.Machine.Footprint.ms_tlb_bytes_per_cpu
-        s.Machine.Footprint.ms_bus_directory_bytes
-        s.Machine.Footprint.ms_total_bytes)
-    r.r_state;
-  let headline = ipc_speedup r ~ncpus:4 in
-  Printf.printf "\ncolocated ipc speedup at 4 CPUs: %.2fx (acceptance: > 1.50x)\n"
-    headline;
-  let json = to_json r in
-  let oc = open_out "BENCH_smp.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_smp.json\n";
-  if headline < 1.5 then exit 1
-
-(* --- vfs-walk: path resolution through the vnode layer and name cache --------- *)
-
-let vfs_walk () =
-  hr "vfs-walk: path walks through the vnode layer and the name cache";
-  let r = Workloads.Vfs_walk.run ~checks:true () in
-  let open Workloads.Vfs_walk in
-  Printf.printf
-    "%d-deep chain, %d wide files, %d hot repeats, %d concurrent CPUs\n\n"
-    r.r_depth r.r_files r.r_repeats r.r_cpus;
-  Printf.printf "%-12s %8s %14s %14s %10s %10s %9s\n" "phase" "ops" "cycles"
-    "cycles/op" "hits" "misses" "hit rate";
-  List.iter
-    (fun p ->
-      Printf.printf "%-12s %8d %14d %14.1f %10d %10d %8.1f%%\n" p.ph_name
-        p.ph_ops p.ph_cycles p.ph_cycles_per_op p.ph_hits p.ph_misses
-        (p.ph_hit_rate *. 100.0))
-    r.r_phases;
-  Printf.printf
-    "\nhot hit rate: %.1f%% (acceptance: >= 90%%)\n\
-     deep path: %.0f cycles/op cached vs %.0f raw -> %.2fx (acceptance: >= 2x)\n\
-     concurrent lookups: %d/%d ok; compromises: %d\n"
-    (r.r_hot_hit_rate *. 100.0)
-    r.r_deep_cached_cycles_per_op r.r_deep_raw_cycles_per_op r.r_deep_speedup
-    r.r_concurrent_ok r.r_concurrent_expected r.r_compromises;
-  (match r.r_check with
-  | Some rep ->
-      Printf.printf "\nmachcheck:\n%s\n"
-        (Format.asprintf "%a" Check.pp_report rep)
-  | None -> ());
-  let json = to_json r in
-  let oc = open_out "BENCH_vfs.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_vfs.json\n";
-  let findings =
-    match r.r_check with Some rep -> Check.total_findings rep | None -> 0
-  in
-  if
-    r.r_hot_hit_rate < 0.9 || r.r_deep_speedup < 2.0
-    || r.r_concurrent_ok < r.r_concurrent_expected
-    || findings > 0
-  then exit 1
-
-(* --- net-storm: the C1M workload against the netisr-sharded netserver --------- *)
-
-let net_storm () =
-  hr "net-storm: sharded netserver under firehose, skew, churn and floods";
-  let r = Workloads.Net_storm.run ~checks:true () in
-  let open Workloads.Net_storm in
-  Printf.printf
-    "%d endpoints, %d simulated clients, %d packets/point of %d bytes; %d \
-     sessions/CPU; %d flood SYNs\n\n"
-    r.nr_endpoints r.nr_clients r.nr_packets r.nr_bytes r.nr_sessions
-    r.nr_flood_syns;
-  Printf.printf "%-10s %5s %9s %12s %12s %8s %9s %9s %9s %6s %6s %6s %7s %6s %5s %7s\n"
-    "phase" "ncpus" "ops" "wall cycles" "ops/Mcycle" "speedup" "p50" "p99"
-    "fairness" "syn" "wire" "reap" "peak" "retry" "lost" "xshard";
-  List.iter
-    (fun p ->
-      Printf.printf
-        "%-10s %5d %9d %12d %12.1f %7.2fx %9d %9d %9.2f %6d %6d %6d %7d %6d %5d %7d\n"
-        p.np_phase p.np_ncpus p.np_ops p.np_wall_cycles p.np_throughput
-        p.np_speedup p.np_p50_cycles p.np_p99_cycles p.np_fairness
-        p.np_syn_drops p.np_wire_drops p.np_reaped p.np_half_open_peak
-        p.np_retries p.np_lost_acked p.np_xshard_msgs)
-    r.nr_points;
-  (match r.nr_check with
-  | Some rep ->
-      Printf.printf "\nmachcheck:\n%s\n"
-        (Format.asprintf "%a" Check.pp_report rep)
-  | None -> ());
-  let speedup = steady_speedup r ~ncpus:4 in
-  let tail = skew_tail_ratio r in
-  let lost = total_lost r in
-  let findings =
-    match r.nr_check with Some rep -> Check.total_findings rep | None -> 0
-  in
-  Printf.printf
-    "\nsteady packets/sec at 4 CPUs: %.2fx of 1 CPU (acceptance: >= 2.50x)\n\
-     worst skewed p99/p50: %.2f (acceptance: <= 3.00)\n\
-     lost acknowledged operations: %d (acceptance: 0)\n\
-     machcheck findings: %d (acceptance: 0)\n"
-    speedup tail lost findings;
-  let json = to_json r in
-  let oc = open_out "BENCH_net.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_net.json\n";
-  if
-    (List.mem 4 r.nr_cpus && speedup < 2.5)
-    || tail > 3.0 || lost > 0 || findings > 0
-  then exit 1
-
-(* --- fault-storm: availability under live kills, wedges and crash loops ------- *)
-
-let fault_storm () =
-  hr "fault-storm: shard micro-reboots, supervised crashes and wedges under load";
-  let r = Workloads.Fault_storm.run ~checks:true () in
-  let open Workloads.Fault_storm in
-  Printf.printf "seed %d\n\n" r.fr_seed;
-  Printf.printf
-    "%-12s %6s %6s %5s %9s %9s %8s %8s %4s %12s %9s %6s %4s %6s %6s %7s %9s\n"
-    "scenario" "ops" "done" "lost" "avail_in" "avail_out" "in" "out" "win"
-    "mttr_cyc" "restarts" "wkill" "deg" "drops" "reinc" "golden" "fastfail";
-  List.iter
-    (fun p ->
-      Printf.printf
-        "%-12s %6d %6d %5d %9.3f %9.3f %4d/%-3d %4d/%-3d %4d %12.0f %9d %6d \
-         %4d %6d %6d %7b %9d\n"
-        p.fp_scenario p.fp_ops p.fp_completed p.fp_lost p.fp_avail_in
-        p.fp_avail_out p.fp_in_ok p.fp_in_ops p.fp_out_ok p.fp_out_ops
-        p.fp_windows p.fp_mttr p.fp_restarts p.fp_wedge_kills p.fp_degraded
-        p.fp_reboot_drops p.fp_reincarnations p.fp_golden_ok
-        p.fp_fastfail_cycles)
-    r.fr_points;
-  (match r.fr_check with
-  | Some rep ->
-      Printf.printf "\nmachcheck:\n%s\n"
-        (Format.asprintf "%a" Check.pp_report rep)
-  | None -> ());
-  let lost = total_lost r in
-  let avail = min_availability r in
-  let golden = golden_ok r in
-  let fastfail = degraded_fastfail r in
-  let findings =
-    match r.fr_check with Some rep -> Check.total_findings rep | None -> 0
-  in
-  Printf.printf
-    "\nacked operations lost: %d (acceptance: 0)\n\
-     worst availability: %.3f (acceptance: >= 0.90)\n\
-     untouched shards golden: %b (acceptance: true)\n\
-     degraded fast-fail: %d cycles (acceptance: 0 <= x <= 100000)\n\
-     machcheck findings: %d (acceptance: 0)\n"
-    lost avail golden fastfail findings;
-  let json = to_json r in
-  let oc = open_out "BENCH_storm.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_storm.json\n";
-  if
-    lost > 0 || avail < 0.9 || (not golden) || fastfail < 0
-    || fastfail > 100_000 || findings > 0
-  then exit 1
-
-(* --- ab: regression diff between two BENCH_*.json runs ------------------------ *)
-
-let bench_ab ~a ~b ~threshold =
-  hr (Printf.sprintf "ab: %s -> %s" a b);
-  match Workloads.Bench_ab.compare_files ~a ~b ~threshold with
-  | Error e ->
-      Printf.eprintf "ab: %s\n" e;
-      exit 2
-  | Ok v ->
-      Format.printf "%a@?" Workloads.Bench_ab.pp_verdict v;
-      if v.Workloads.Bench_ab.v_regressions > 0 then exit 1
-
-(* --- machcheck: the analysis layer over the stress workloads ------------------ *)
-
-let machcheck () =
-  hr "machcheck: rights / deadlock / buffer sanitizers over the stress workloads";
-  let ipc = Workloads.Ipc_stress.run ~checks:true () in
-  let flt = Workloads.Fault_sweep.run ~checks:true () in
-  let rcv = Workloads.Recovery_sweep.run ~ops:8 ~max_points:32 ~checks:true () in
-  let vfw = Workloads.Vfs_walk.run ~checks:true () in
-  let net =
-    Workloads.Net_storm.run ~cpus:[ 1; 4 ] ~endpoints:8 ~clients:400
-      ~packets:1_200 ~sessions:4 ~flood_syns:48 ~victim_ops:3 ~checks:true ()
-  in
-  let stm =
-    Workloads.Fault_storm.run ~endpoints:6 ~rounds:16 ~victim_ops:4 ~clients:2
-      ~sessions:2 ~checks:true ()
-  in
-  let print name = function
-    | Some rep ->
-        Printf.printf "%s:\n%s\n" name
-          (Format.asprintf "%a" Check.pp_report rep)
-    | None -> ()
-  in
-  print "ipc-stress" ipc.Workloads.Ipc_stress.r_check;
-  print "fault-sweep" flt.Workloads.Fault_sweep.r_check;
-  print "recovery-sweep" rcv.Workloads.Recovery_sweep.r_check;
-  print "vfs-walk" vfw.Workloads.Vfs_walk.r_check;
-  print "net-storm" net.Workloads.Net_storm.nr_check;
-  print "fault-storm" stm.Workloads.Fault_storm.fr_check;
-  let total =
-    List.fold_left
-      (fun acc -> function
-        | Some rep -> acc + Check.total_findings rep
-        | None -> acc)
-      0
-      [
-        ipc.Workloads.Ipc_stress.r_check;
-        flt.Workloads.Fault_sweep.r_check;
-        rcv.Workloads.Recovery_sweep.r_check;
-        vfw.Workloads.Vfs_walk.r_check;
-        net.Workloads.Net_storm.nr_check;
-        stm.Workloads.Fault_storm.fr_check;
-      ]
-  in
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"experiment\": \"machcheck\",\n";
-  Buffer.add_string b "  \"schema_version\": 2,\n";
-  Printf.bprintf b "  \"run\": %s,\n" (Workloads.Run_meta.json ());
-  Printf.bprintf b "  \"total_findings\": %d,\n" total;
-  Buffer.add_string b "  \"workloads\": {\n";
-  (match ipc.Workloads.Ipc_stress.r_check with
-  | Some rep -> Printf.bprintf b "    \"ipc-stress\": %s,\n" (Check.to_json rep)
-  | None -> ());
-  (match flt.Workloads.Fault_sweep.r_check with
-  | Some rep -> Printf.bprintf b "    \"fault-sweep\": %s,\n" (Check.to_json rep)
-  | None -> ());
-  (match rcv.Workloads.Recovery_sweep.r_check with
-  | Some rep ->
-      Printf.bprintf b "    \"recovery-sweep\": %s,\n" (Check.to_json rep)
-  | None -> ());
-  (match vfw.Workloads.Vfs_walk.r_check with
-  | Some rep -> Printf.bprintf b "    \"vfs-walk\": %s,\n" (Check.to_json rep)
-  | None -> ());
-  (match net.Workloads.Net_storm.nr_check with
-  | Some rep -> Printf.bprintf b "    \"net-storm\": %s,\n" (Check.to_json rep)
-  | None -> ());
-  (match stm.Workloads.Fault_storm.fr_check with
-  | Some rep -> Printf.bprintf b "    \"fault-storm\": %s\n" (Check.to_json rep)
-  | None -> ());
-  Buffer.add_string b "  }\n}\n";
-  let oc = open_out "BENCH_check.json" in
-  Buffer.output_buffer oc b;
-  close_out oc;
-  Printf.printf "total findings: %d (expected 0)\nwrote BENCH_check.json\n" total;
-  if total > 0 then exit 1
 
 (* --- E4: Figure 1 ------------------------------------------------------------- *)
 
@@ -499,15 +150,12 @@ let figure1 () =
 
 (* --- E5: the factor of 3 ------------------------------------------------------- *)
 
-let fileserver_factor () =
-  hr "E5: file service via RPC file server vs in-kernel (the 'factor of 3')";
-  let f = Workloads.Micro.fileserver_factor () in
-  let open Workloads.Micro in
-  Printf.printf
-    "file-server RPC : %8.0f cycles/op\n\
-     in-kernel trap  : %8.0f cycles/op\n\
-     factor          : %8.2fx   (paper: \"about a factor of 3\")\n"
-    f.fx_rpc_cycles_per_op f.fx_trap_cycles_per_op f.fx_factor
+let fileserver_factor_report (f : Micro.factor) =
+  (* the paper: "about a factor of 3" *)
+  Experiment.result
+    [ ("rpc_cycles_per_op", Json.fixed 1 f.fx_rpc_cycles_per_op);
+      ("trap_cycles_per_op", Json.fixed 1 f.fx_trap_cycles_per_op);
+      ("factor", Json.fixed 3 f.fx_factor); ("paper_factor", Json.int 3) ]
 
 (* --- E6: fine-grained objects ---------------------------------------------------- *)
 
@@ -668,64 +316,46 @@ let drivers () =
 let nameservice () =
   hr "E9 (ablation): X.500-style name service vs the Release 2 simple one";
   let ops = 200 in
-  let x500 =
+  (* boot with the given naming, register 20 devices, time [ops] lookups *)
+  let measure ?naming register lookup =
     let m = Machine.create Machine.Config.pentium_133 in
-    let b = Mk_services.Bootstrap.boot m in
-    let ns = Mk_services.Bootstrap.name_service_exn b in
+    let b = Mk_services.Bootstrap.boot ?naming m in
     let k = b.Mk_services.Bootstrap.kernel in
     let app = Mach.Kernel.task_create k ~name:"app" () in
     let cycles = ref 0 in
     ignore
       (Mach.Kernel.thread_spawn k app ~name:"app" (fun () ->
-           let sys = k.Mach.Kernel.sys in
-           let p = Mach.Port.allocate sys ~receiver:app ~name:"p" in
+           let p = Mach.Port.allocate k.Mach.Kernel.sys ~receiver:app ~name:"p" in
            for i = 1 to 20 do
-             ignore
-               (Mk_services.Name_service.bind ns
-                  ~path:(Printf.sprintf "/servers/devices/dev%02d" i)
-                  ~attributes:[ ("class", "char") ]
-                  ~target:p ())
+             register b (Printf.sprintf "dev%02d" i) p
            done;
            let t0 = Machine.now m in
            for i = 1 to ops do
-             ignore
-               (Mk_services.Name_service.resolve_port ns
-                  ~path:
-                    (Printf.sprintf "/servers/devices/dev%02d" ((i mod 20) + 1)))
+             lookup b (Printf.sprintf "dev%02d" ((i mod 20) + 1))
            done;
            cycles := (Machine.now m - t0) / ops)
         : Mach.Ktypes.thread);
     Mach.Kernel.run k;
     !cycles
   in
+  let open Mk_services in
+  let x500 =
+    let ns = Bootstrap.name_service_exn in
+    measure
+      (fun b dev p ->
+        ignore
+          (Name_service.bind (ns b) ~path:("/servers/devices/" ^ dev)
+             ~attributes:[ ("class", "char") ]
+             ~target:p ()))
+      (fun b dev ->
+        ignore
+          (Name_service.resolve_port (ns b) ~path:("/servers/devices/" ^ dev)))
+  in
   let simple =
-    let m = Machine.create Machine.Config.pentium_133 in
-    let b =
-      Mk_services.Bootstrap.boot ~naming:Mk_services.Bootstrap.Simple_naming m
-    in
-    let names = Option.get b.Mk_services.Bootstrap.simple_names in
-    let k = b.Mk_services.Bootstrap.kernel in
-    let app = Mach.Kernel.task_create k ~name:"app" () in
-    let cycles = ref 0 in
-    ignore
-      (Mach.Kernel.thread_spawn k app ~name:"app" (fun () ->
-           let sys = k.Mach.Kernel.sys in
-           let p = Mach.Port.allocate sys ~receiver:app ~name:"p" in
-           for i = 1 to 20 do
-             ignore
-               (Mk_services.Name_simple.register names
-                  ~name:(Printf.sprintf "dev%02d" i) p)
-           done;
-           let t0 = Machine.now m in
-           for i = 1 to ops do
-             ignore
-               (Mk_services.Name_simple.lookup names
-                  ~name:(Printf.sprintf "dev%02d" ((i mod 20) + 1)))
-           done;
-           cycles := (Machine.now m - t0) / ops)
-        : Mach.Ktypes.thread);
-    Mach.Kernel.run k;
-    !cycles
+    let names b = Option.get b.Bootstrap.simple_names in
+    measure ~naming:Bootstrap.Simple_naming
+      (fun b name p -> ignore (Name_simple.register (names b) ~name p))
+      (fun b name -> ignore (Name_simple.lookup (names b) ~name))
   in
   Printf.printf
     "X.500-style : %7d cycles/lookup (RPC + parse + walk + attributes)\n\
@@ -734,118 +364,123 @@ let nameservice () =
     x500 simple
     (float_of_int x500 /. float_of_int simple)
 
-(* --- harness --------------------------------------------------------------------------- *)
+(* --- the registry ------------------------------------------------------------ *)
 
-let experiments =
+(* Every experiment, in run order, with its size under each profile.
+   Smoke sizes are throwaway iteration counts whose output is diffed
+   exactly against bench/smoke/; machcheck sizes run the stress
+   workloads under the checker. *)
+let registry =
+  let open Experiment in
   [
-    ("table1", table1);
-    ("table2", table2);
-    ("figure-ipc", figure_ipc);
-    ("ipc-stress", ipc_stress);
-    ("fault-sweep", fault_sweep);
-    ("recovery-sweep", recovery_sweep);
-    ("smp-scaling", smp_scaling);
-    ("vfs-walk", vfs_walk);
-    ("net-storm", net_storm);
-    ("fault-storm", fault_storm);
-    ("machcheck", machcheck);
-    ("figure1", figure1);
-    ("fileserver-factor", fileserver_factor);
-    ("finegrain", finegrain);
-    ("memfootprint", memfootprint);
-    ("drivers", drivers);
-    ("nameservice", nameservice);
+    make ~file:"BENCH_table1.json" "table1"
+      (sized
+         ~smoke:(fun () ->
+           table1_rows
+             (List.filter_map Table1.find
+                [ "Graphics Low"; "PM Tasking Medium" ]))
+         (fun () -> table1_rows Table1.all))
+      table1_report;
+    make ~file:"BENCH_table2.json" "table2"
+      (sized
+         ~smoke:(fun () -> Micro.table2 ~iters:20 ())
+         (fun () -> Micro.table2 ()))
+      table2_report;
+    printed "figure-ipc" figure_ipc;
+    make ~file:"BENCH_ipc.json" "ipc-stress"
+      (sized
+         ~smoke:(fun () ->
+           Ipc_stress.run ~workers:1 ~iters:3 ~sizes:[ 0; 4096 ] ~checks:true ())
+         ~machcheck:(fun () -> Ipc_stress.run ~checks:true ())
+         (fun () -> Ipc_stress.run ()))
+      (fun r -> result ?check:r.r_check (Ipc_stress.to_json r));
+    make ~file:"BENCH_faults.json" "fault-sweep"
+      (sized
+         ~smoke:(fun () ->
+           Fault_sweep.run ~clients:1 ~sessions:2 ~rates:[ 10_000 ] ~checks:true
+             ())
+         ~machcheck:(fun () -> Fault_sweep.run ~checks:true ())
+         (fun () -> Fault_sweep.run ()))
+      (fun r ->
+        result ~seed:r.r_seed ?check:r.r_check (Fault_sweep.to_json r));
+    make ~file:"BENCH_recovery.json" "recovery-sweep"
+      (sized
+         ~smoke:(fun () ->
+           Recovery_sweep.run ~ops:4 ~max_points:12 ~series:[ 4 ] ~checks:true
+             ())
+         ~machcheck:(fun () ->
+           Recovery_sweep.run ~ops:8 ~max_points:32 ~checks:true ())
+         (* exhaustive: the cap sits far above the script's write count,
+            so every single crash point is enumerated, none sampled *)
+         (fun () -> Recovery_sweep.run ~max_points:1024 ()))
+      (fun r ->
+        result ~seed:r.r_seed ?check:r.r_check ~gates:(Recovery_sweep.gates r)
+          (Recovery_sweep.to_json r));
+    make ~file:"BENCH_smp.json" "smp-scaling"
+      (sized
+         ~smoke:(fun () ->
+           Smp_scaling.run ~cpus:[ 1; 2 ] ~pairs:2 ~iters:5 ~bytes:256
+             ~clients:2 ~sessions:1 ~checks:true ())
+         (fun () -> Smp_scaling.run ()))
+      (fun r ->
+        result ?check:r.r_check ~gates:(Smp_scaling.gates r)
+          (Smp_scaling.to_json r));
+    make ~file:"BENCH_vfs.json" "vfs-walk"
+      (sized
+         ~smoke:(fun () ->
+           Vfs_walk.run ~depth:5 ~files:6 ~repeats:2 ~cpus:2 ~checks:true ())
+         ~machcheck:(fun () -> Vfs_walk.run ~checks:true ())
+         (fun () -> Vfs_walk.run ~checks:true ()))
+      (fun r ->
+        result ?check:r.r_check ~gates:(Vfs_walk.gates r) (Vfs_walk.to_json r));
+    make ~file:"BENCH_net.json" "net-storm"
+      (sized
+         ~smoke:(fun () ->
+           Net_storm.run ~cpus:[ 1; 2 ] ~endpoints:6 ~clients:50 ~packets:400
+             ~sessions:2 ~flood_syns:30 ~victim_ops:2 ~checks:true ())
+         ~machcheck:(fun () ->
+           Net_storm.run ~cpus:[ 1; 4 ] ~endpoints:8 ~clients:400
+             ~packets:1_200 ~sessions:4 ~flood_syns:48 ~victim_ops:3
+             ~checks:true ())
+         (fun () -> Net_storm.run ~checks:true ()))
+      (fun r ->
+        result ?check:r.nr_check ~gates:(Net_storm.gates r)
+          (Net_storm.to_json r));
+    make ~file:"BENCH_storm.json" "fault-storm"
+      (sized
+         ~smoke:(fun () ->
+           Fault_storm.run ~endpoints:6 ~rounds:16 ~victim_ops:3 ~clients:1
+             ~sessions:2 ~checks:true ())
+         ~machcheck:(fun () ->
+           Fault_storm.run ~endpoints:6 ~rounds:16 ~victim_ops:4 ~clients:2
+             ~sessions:2 ~checks:true ())
+         (fun () -> Fault_storm.run ~checks:true ()))
+      (fun r ->
+        result ~seed:r.fr_seed ?check:r.fr_check ~gates:(Fault_storm.gates r)
+          (Fault_storm.to_json r));
+    printed "figure1" figure1;
+    make ~file:"BENCH_factor.json" "fileserver-factor"
+      (sized
+         ~smoke:(fun () -> Micro.fileserver_factor ~ops:20 ())
+         (fun () -> Micro.fileserver_factor ()))
+      fileserver_factor_report;
+    printed "finegrain" finegrain;
+    printed "memfootprint" memfootprint;
+    printed "drivers" drivers;
+    printed "nameservice" nameservice;
   ]
 
-(* --- smoke: tiny-iteration pass over the JSON writers ------------------------- *)
+(* --- ab: regression diff between two BENCH_*.json runs ----------------------- *)
 
-(* Exercised by the [bench-smoke] dune alias under [dune runtest]: every
-   BENCH_*.json writer runs end to end at throwaway iteration counts, so
-   a broken experiment or malformed JSON fails CI without paying for a
-   full sweep.  The files land in dune's sandbox, not the repo copies. *)
-let smoke () =
-  hr "smoke: tiny-iteration pass over every BENCH_*.json writer";
-  let write name json =
-    let oc = open_out name in
-    output_string oc json;
-    close_out oc;
-    (match Workloads.Ipc_stress.Json.parse json with
-    | Ok _ -> ()
-    | Error e -> failwith (Printf.sprintf "%s: invalid JSON: %s" name e));
-    Printf.printf "wrote %s (%d bytes)\n" name (String.length json)
-  in
-  let ipc =
-    Workloads.Ipc_stress.run ~workers:1 ~iters:3 ~sizes:[ 0; 4096 ]
-      ~checks:true ()
-  in
-  write "BENCH_ipc.json" (Workloads.Ipc_stress.to_json ipc);
-  let flt =
-    Workloads.Fault_sweep.run ~clients:1 ~sessions:2 ~rates:[ 10_000 ]
-      ~checks:true ()
-  in
-  write "BENCH_faults.json" (Workloads.Fault_sweep.to_json flt);
-  let rcv =
-    Workloads.Recovery_sweep.run ~ops:4 ~max_points:12 ~series:[ 4 ]
-      ~checks:true ()
-  in
-  write "BENCH_recovery.json" (Workloads.Recovery_sweep.to_json rcv);
-  let smp =
-    Workloads.Smp_scaling.run ~cpus:[ 1; 2 ] ~pairs:2 ~iters:5 ~bytes:256
-      ~clients:2 ~sessions:1 ~checks:true ()
-  in
-  write "BENCH_smp.json" (Workloads.Smp_scaling.to_json smp);
-  let vfw =
-    Workloads.Vfs_walk.run ~depth:5 ~files:6 ~repeats:2 ~cpus:2 ~checks:true ()
-  in
-  write "BENCH_vfs.json" (Workloads.Vfs_walk.to_json vfw);
-  let net =
-    Workloads.Net_storm.run ~cpus:[ 1; 2 ] ~endpoints:6 ~clients:50
-      ~packets:400 ~sessions:2 ~flood_syns:30 ~victim_ops:2 ~checks:true ()
-  in
-  write "BENCH_net.json" (Workloads.Net_storm.to_json net);
-  if Workloads.Net_storm.total_lost net > 0 then begin
-    Printf.printf "net smoke lost acknowledged operations\n";
-    exit 1
-  end;
-  let stm =
-    Workloads.Fault_storm.run ~endpoints:6 ~rounds:16 ~victim_ops:3 ~clients:1
-      ~sessions:2 ~checks:true ()
-  in
-  write "BENCH_storm.json" (Workloads.Fault_storm.to_json stm);
-  if Workloads.Fault_storm.total_lost stm > 0 then begin
-    Printf.printf "fault storm smoke lost acked operations\n";
-    exit 1
-  end;
-  if not (Workloads.Fault_storm.golden_ok stm) then begin
-    Printf.printf "fault storm smoke: untouched shards diverged\n";
-    exit 1
-  end;
-  if
-    rcv.Workloads.Recovery_sweep.r_lost_writes > 0
-    || rcv.Workloads.Recovery_sweep.r_torn_states > 0
-  then begin
-    Printf.printf "recovery smoke found lost/torn state\n";
-    exit 1
-  end;
-  let findings =
-    List.fold_left
-      (fun acc -> function
-        | Some rep -> acc + Check.total_findings rep
-        | None -> acc)
-      0
-      [
-        ipc.Workloads.Ipc_stress.r_check;
-        flt.Workloads.Fault_sweep.r_check;
-        rcv.Workloads.Recovery_sweep.r_check;
-        smp.Workloads.Smp_scaling.r_check;
-        vfw.Workloads.Vfs_walk.r_check;
-        net.Workloads.Net_storm.nr_check;
-        stm.Workloads.Fault_storm.fr_check;
-      ]
-  in
-  Printf.printf "machcheck findings across smoke runs: %d (expected 0)\n"
-    findings;
-  if findings > 0 then exit 1
+let bench_ab ~a ~b ~threshold =
+  hr (Printf.sprintf "ab: %s -> %s" a b);
+  match Bench_ab.compare_files ~a ~b ~threshold with
+  | Error e ->
+      Printf.eprintf "ab: %s\n" e;
+      exit 2
+  | Ok v ->
+      Format.printf "%a@?" Bench_ab.pp_verdict v;
+      if v.Bench_ab.v_regressions > 0 then 1 else 0
 
 (* host-time measurements of the experiment cores, one Bechamel test per
    table/figure *)
@@ -883,32 +518,55 @@ let bechamel () =
     results
 
 let () =
-  let args = Array.to_list Sys.argv in
-  match args with
-  | _ :: "--bechamel" :: _ -> bechamel ()
-  | _ :: "--smoke" :: _ -> smoke ()
-  | _ :: "ab" :: a :: b :: rest ->
-      let threshold =
-        match rest with
-        | "--threshold" :: v :: _ -> (
-            match float_of_string_opt v with
-            | Some f when f >= 0.0 -> f
-            | _ ->
-                Printf.eprintf "ab: bad threshold %S\n" v;
-                exit 2)
-        | _ -> 0.05
-      in
-      bench_ab ~a ~b ~threshold
-  | _ :: "ab" :: _ ->
-      Printf.eprintf
-        "usage: main.exe ab A.json B.json [--threshold 0.05]\n\
-         exits 1 when B regresses against A past the threshold\n";
-      exit 2
-  | _ :: name :: _ -> (
-      match List.assoc_opt name experiments with
-      | Some f -> f ()
-      | None ->
-          Printf.eprintf "unknown experiment %S; available: %s\n" name
-            (String.concat ", " (List.map fst experiments));
-          exit 1)
-  | _ -> List.iter (fun (_, f) -> f ()) experiments
+  let status =
+    match List.tl (Array.to_list Sys.argv) with
+    | "--bechamel" :: _ ->
+        bechamel ();
+        0
+    | "--smoke" :: _ ->
+        (* the outputs land in the working directory: refuse to run
+           anywhere but next to the baselines (bench/, or its copy in the
+           build tree), never over the full-size files at the root *)
+        if not (Sys.file_exists "smoke" && Sys.is_directory "smoke") then begin
+          prerr_endline "--smoke: no smoke/ baselines here; run it in bench/";
+          exit 2
+        end;
+        hr "smoke: tiny sizes, diffed exactly against the smoke/ baselines";
+        Experiment.run Smoke registry
+    | "machcheck" :: _ ->
+        hr "machcheck: every checker over the stress workloads";
+        Experiment.run Machcheck registry
+    | "ab" :: a :: b :: rest ->
+        let threshold =
+          match rest with
+          | "--threshold" :: v :: _ -> (
+              match float_of_string_opt v with
+              | Some f when f >= 0.0 -> f
+              | _ ->
+                  Printf.eprintf "ab: bad threshold %S\n" v;
+                  exit 2)
+          | _ -> 0.05
+        in
+        bench_ab ~a ~b ~threshold
+    | "ab" :: _ ->
+        Printf.eprintf
+          "usage: main.exe ab A.json B.json [--threshold 0.05]\n\
+           exits 1 when B regresses against A past the threshold\n";
+        exit 2
+    | name :: _ -> (
+        match
+          List.filter (fun (e : Experiment.entry) -> e.name = name) registry
+        with
+        | [] ->
+            Printf.eprintf "unknown experiment %S; available: %s\n" name
+              (String.concat ", "
+                 ("machcheck"
+                 :: List.map (fun (e : Experiment.entry) -> e.name) registry));
+            exit 2
+        | entries -> Experiment.run Full entries)
+    | [] ->
+        let full = Experiment.run Full registry in
+        hr "machcheck: every checker over the stress workloads";
+        max full (Experiment.run Machcheck registry)
+  in
+  exit status

@@ -16,40 +16,7 @@ let right_name = function
 type finding = { f_checker : string; f_kind : string; f_detail : string }
 
 type report = {
-  rep_spaces : int;
-  rep_right_transitions : int;
-  rep_live_rights : int;
-  rep_leaked_rights : int;
-  rep_right_double_frees : int;
-  rep_right_downgrades : int;
-  rep_teardown_residual : int;
-  rep_blocks_tracked : int;
-  rep_wait_cycles : int;
-  rep_buf_shadowed : int;
-  rep_buf_double_releases : int;
-  rep_buf_use_after_release : int;
-  rep_remap_moves : int;
-  rep_double_moves : int;
-  rep_write_after_move : int;
-  rep_mapout_evictions : int;
-  rep_crash_points : int;
-  rep_lost_writes : int;
-  rep_torn_states : int;
-  rep_vnodes_shadowed : int;
-  rep_vnode_ref_underflows : int;
-  rep_vnode_use_after_reclaim : int;
-  rep_vnode_leaks : int;
-  rep_ncache_shadowed : int;
-  rep_ncache_stale : int;
-  rep_net_sockets : int;
-  rep_net_touches : int;
-  rep_net_crossings : int;
-  rep_reinc_kills : int;
-  rep_reinc_reboots : int;
-  rep_reinc_orphans : int;
-  rep_reinc_stale : int;
-  rep_reinc_residue : int;
-  rep_reinc_budget_exhausted : int;
+  rep_counters : (string * int * bool) list;
   rep_findings : finding list;
 }
 
@@ -199,6 +166,14 @@ let g_installed : t option ref = ref None
 let install t = g_installed := Some t
 let uninstall () = g_installed := None
 let installed () = !g_installed
+
+let with_checker enabled f =
+  if not enabled then f None
+  else begin
+    let t = create () in
+    install t;
+    Fun.protect ~finally:uninstall (fun () -> f (Some t))
+  end
 
 let record t ~checker ~kind detail =
   t.recorded <- { f_checker = checker; f_kind = kind; f_detail = detail }
@@ -761,146 +736,89 @@ let leak_findings t =
       })
     leaks
 
+(* Every counter once, under its JSON key, flagged when it counts as a
+   finding.  [reinc_budget_exhausted] is informational: demotion is the
+   policy working, not a safety violation. *)
 let report t =
   let leaks = leak_findings t in
   {
-    rep_spaces = t.spaces;
-    rep_right_transitions = t.transitions;
-    rep_live_rights = Hashtbl.length t.rights;
-    rep_leaked_rights = List.length leaks;
-    rep_right_double_frees = t.n_double_free;
-    rep_right_downgrades = t.n_downgrade;
-    rep_teardown_residual = t.teardown_residual;
-    rep_blocks_tracked = t.blocks_tracked;
-    rep_wait_cycles = t.n_cycle;
-    rep_buf_shadowed = t.buf_shadowed;
-    rep_buf_double_releases = t.n_buf_double;
-    rep_buf_use_after_release = t.n_buf_uar;
-    rep_remap_moves = t.remap_moves;
-    rep_double_moves = t.n_double_move;
-    rep_write_after_move = t.n_write_after_move;
-    rep_mapout_evictions = t.n_mapout_evict;
-    rep_crash_points = t.crash_points;
-    rep_lost_writes = t.n_lost_writes;
-    rep_torn_states = t.n_torn_states;
-    rep_vnodes_shadowed = t.vnodes_shadowed;
-    rep_vnode_ref_underflows = t.n_vn_underflow;
-    rep_vnode_use_after_reclaim = t.n_vn_uar;
-    rep_vnode_leaks = t.n_vn_leak;
-    rep_ncache_shadowed = t.ncache_shadowed;
-    rep_ncache_stale = t.n_nc_stale;
-    rep_net_sockets = t.net_sockets;
-    rep_net_touches = t.net_touches;
-    rep_net_crossings = t.n_net_crossings;
-    rep_reinc_kills = t.reinc_kills;
-    rep_reinc_reboots = t.reinc_reboots;
-    rep_reinc_orphans = t.n_reinc_orphans;
-    rep_reinc_stale = t.n_reinc_stale;
-    rep_reinc_residue = t.n_reinc_residue;
-    rep_reinc_budget_exhausted = t.n_reinc_budget;
+    rep_counters =
+      [
+        ("spaces", t.spaces, false);
+        ("right_transitions", t.transitions, false);
+        ("live_rights", Hashtbl.length t.rights, false);
+        ("leaked_rights", List.length leaks, true);
+        ("right_double_frees", t.n_double_free, true);
+        ("right_downgrades", t.n_downgrade, true);
+        ("teardown_residual", t.teardown_residual, false);
+        ("blocks_tracked", t.blocks_tracked, false);
+        ("wait_cycles", t.n_cycle, true);
+        ("buffers_shadowed", t.buf_shadowed, false);
+        ("buf_double_releases", t.n_buf_double, true);
+        ("buf_use_after_release", t.n_buf_uar, true);
+        ("remap_moves", t.remap_moves, false);
+        ("double_moves", t.n_double_move, true);
+        ("write_after_move", t.n_write_after_move, true);
+        ("mapout_evictions", t.n_mapout_evict, true);
+        ("crash_points", t.crash_points, false);
+        ("lost_writes", t.n_lost_writes, true);
+        ("torn_states", t.n_torn_states, true);
+        ("vnodes_shadowed", t.vnodes_shadowed, false);
+        ("vnode_ref_underflows", t.n_vn_underflow, true);
+        ("vnode_use_after_reclaim", t.n_vn_uar, true);
+        ("vnode_leaks", t.n_vn_leak, true);
+        ("ncache_shadowed", t.ncache_shadowed, false);
+        ("ncache_stale", t.n_nc_stale, true);
+        ("net_sockets", t.net_sockets, false);
+        ("net_touches", t.net_touches, false);
+        ("net_shard_crossings", t.n_net_crossings, true);
+        ("reinc_kills", t.reinc_kills, false);
+        ("reinc_reboots", t.reinc_reboots, false);
+        ("reinc_orphans", t.n_reinc_orphans, true);
+        ("reinc_stale_registry", t.n_reinc_stale, true);
+        ("reinc_rights_residue", t.n_reinc_residue, true);
+        ("reinc_budget_exhausted", t.n_reinc_budget, false);
+      ];
     rep_findings = findings t @ leaks;
   }
 
-let total_findings r =
-  r.rep_leaked_rights + r.rep_right_double_frees + r.rep_right_downgrades
-  + r.rep_wait_cycles + r.rep_buf_double_releases + r.rep_buf_use_after_release
-  + r.rep_double_moves + r.rep_write_after_move + r.rep_mapout_evictions
-  + r.rep_lost_writes + r.rep_torn_states + r.rep_vnode_ref_underflows
-  + r.rep_vnode_use_after_reclaim + r.rep_vnode_leaks + r.rep_ncache_stale
-  + r.rep_net_crossings + r.rep_reinc_orphans + r.rep_reinc_stale
-  + r.rep_reinc_residue
+let count r key =
+  match List.find_opt (fun (k, _, _) -> k = key) r.rep_counters with
+  | Some (_, n, _) -> n
+  | None -> invalid_arg ("Check.count: no counter " ^ key)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let total_findings r =
+  List.fold_left
+    (fun acc (_, n, finding) -> if finding then acc + n else acc)
+    0 r.rep_counters
 
 let to_json r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{";
-  let field k v = Buffer.add_string b (Printf.sprintf "\"%s\": %d, " k v) in
-  field "spaces" r.rep_spaces;
-  field "right_transitions" r.rep_right_transitions;
-  field "live_rights" r.rep_live_rights;
-  field "leaked_rights" r.rep_leaked_rights;
-  field "right_double_frees" r.rep_right_double_frees;
-  field "right_downgrades" r.rep_right_downgrades;
-  field "teardown_residual" r.rep_teardown_residual;
-  field "blocks_tracked" r.rep_blocks_tracked;
-  field "wait_cycles" r.rep_wait_cycles;
-  field "buffers_shadowed" r.rep_buf_shadowed;
-  field "buf_double_releases" r.rep_buf_double_releases;
-  field "buf_use_after_release" r.rep_buf_use_after_release;
-  field "remap_moves" r.rep_remap_moves;
-  field "double_moves" r.rep_double_moves;
-  field "write_after_move" r.rep_write_after_move;
-  field "mapout_evictions" r.rep_mapout_evictions;
-  field "crash_points" r.rep_crash_points;
-  field "lost_writes" r.rep_lost_writes;
-  field "torn_states" r.rep_torn_states;
-  field "vnodes_shadowed" r.rep_vnodes_shadowed;
-  field "vnode_ref_underflows" r.rep_vnode_ref_underflows;
-  field "vnode_use_after_reclaim" r.rep_vnode_use_after_reclaim;
-  field "vnode_leaks" r.rep_vnode_leaks;
-  field "ncache_shadowed" r.rep_ncache_shadowed;
-  field "ncache_stale" r.rep_ncache_stale;
-  field "net_sockets" r.rep_net_sockets;
-  field "net_touches" r.rep_net_touches;
-  field "net_shard_crossings" r.rep_net_crossings;
-  field "reinc_kills" r.rep_reinc_kills;
-  field "reinc_reboots" r.rep_reinc_reboots;
-  field "reinc_orphans" r.rep_reinc_orphans;
-  field "reinc_stale_registry" r.rep_reinc_stale;
-  field "reinc_rights_residue" r.rep_reinc_residue;
-  field "reinc_budget_exhausted" r.rep_reinc_budget_exhausted;
-  field "total_findings" (total_findings r);
-  Buffer.add_string b "\"findings\": [";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"checker\": \"%s\", \"kind\": \"%s\", \"detail\": \"%s\"}"
-           f.f_checker f.f_kind (json_escape f.f_detail)))
-    r.rep_findings;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Json.Obj
+    (List.map (fun (k, n, _) -> (k, Json.int n)) r.rep_counters
+    @ [
+        ("total_findings", Json.int (total_findings r));
+        ( "findings",
+          Json.rows
+            (fun f ->
+              [
+                ("checker", Json.Str f.f_checker); ("kind", Json.Str f.f_kind);
+                ("detail", Json.Str f.f_detail);
+              ])
+            r.rep_findings );
+      ])
 
 let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>machcheck: %d space(s), %d finding(s)@,\
-     rights   : %d transitions, %d live, %d leaked, %d double-free, %d \
-     downgrade, %d teardown-residual@,\
-     deadlock : %d blocks tracked, %d wait-cycle(s)@,\
-     buffers  : %d shadowed, %d double-release, %d use-after-release@,\
-     remap    : %d moves, %d double-move, %d write-after-move, %d \
-     mapout-eviction@,\
-     crash    : %d point(s) checked, %d lost-write, %d torn-state@,\
-     vnode    : %d shadowed, %d ref-underflow, %d use-after-reclaim, %d \
-     leaked-refs; ncache %d stored, %d stale@,\
-     net      : %d socket(s), %d touches, %d shard-crossing@,\
-     reinc    : %d kill(s), %d reboot(s), %d orphaned, %d stale-registry, %d \
-     rights-residue, %d budget-exhausted@]"
-    r.rep_spaces (total_findings r) r.rep_right_transitions r.rep_live_rights
-    r.rep_leaked_rights r.rep_right_double_frees r.rep_right_downgrades
-    r.rep_teardown_residual r.rep_blocks_tracked r.rep_wait_cycles
-    r.rep_buf_shadowed r.rep_buf_double_releases r.rep_buf_use_after_release
-    r.rep_remap_moves r.rep_double_moves r.rep_write_after_move
-    r.rep_mapout_evictions r.rep_crash_points r.rep_lost_writes
-    r.rep_torn_states r.rep_vnodes_shadowed r.rep_vnode_ref_underflows
-    r.rep_vnode_use_after_reclaim r.rep_vnode_leaks r.rep_ncache_shadowed
-    r.rep_ncache_stale r.rep_net_sockets r.rep_net_touches r.rep_net_crossings
-    r.rep_reinc_kills r.rep_reinc_reboots r.rep_reinc_orphans r.rep_reinc_stale
-    r.rep_reinc_residue r.rep_reinc_budget_exhausted;
+  let line label finding =
+    Format.fprintf ppf "@,@[<hov 2>%s:" label;
+    List.iter
+      (fun (k, n, f) -> if f = finding then Format.fprintf ppf "@ %s=%d" k n)
+      r.rep_counters;
+    Format.fprintf ppf "@]"
+  in
+  Format.fprintf ppf "@[<v>machcheck: %d finding(s)" (total_findings r);
+  line "observed" false;
+  line "findings" true;
+  Format.fprintf ppf "@]";
   if r.rep_findings <> [] then begin
     Format.fprintf ppf "@.";
     List.iter

@@ -44,53 +44,29 @@ type finding = {
 }
 
 type report = {
-  rep_spaces : int;
-  (* rights sanitizer *)
-  rep_right_transitions : int;
-  rep_live_rights : int;  (* shadow entries still held at report time *)
-  rep_leaked_rights : int;  (* live entries naming a dead port *)
-  rep_right_double_frees : int;
-  rep_right_downgrades : int;
-  rep_teardown_residual : int;
-      (* rights released implicitly because their task was torn down *)
-  (* deadlock detector *)
-  rep_blocks_tracked : int;
-  rep_wait_cycles : int;
-  (* buffer sanitizer *)
-  rep_buf_shadowed : int;  (* allocations observed *)
-  rep_buf_double_releases : int;
-  rep_buf_use_after_release : int;
-  (* remap-ownership sanitizer *)
-  rep_remap_moves : int;  (* remap_move donations observed *)
-  rep_double_moves : int;
-  rep_write_after_move : int;
-  rep_mapout_evictions : int;
-  (* crash-consistency checker *)
-  rep_crash_points : int;  (* crash points enumerated and verified *)
-  rep_lost_writes : int;  (* acknowledged writes missing after recovery *)
-  rep_torn_states : int;  (* recovery left a structural invariant broken *)
-  (* vnode-lifecycle checker *)
-  rep_vnodes_shadowed : int;  (* vnode activations observed *)
-  rep_vnode_ref_underflows : int;
-  rep_vnode_use_after_reclaim : int;
-  rep_vnode_leaks : int;  (* refs still held when a mount recovered *)
-  rep_ncache_shadowed : int;  (* positive name-cache stores observed *)
-  rep_ncache_stale : int;  (* cache hits that named a reclaimed vnode *)
-  (* netisr shard checker *)
-  rep_net_sockets : int;  (* socket home registrations observed *)
-  rep_net_touches : int;  (* per-packet socket touches observed *)
-  rep_net_crossings : int;  (* touches from a shard that is not home *)
-  (* reincarnation checker *)
-  rep_reinc_kills : int;  (* shard kills observed *)
-  rep_reinc_reboots : int;  (* shard rebirths observed *)
-  rep_reinc_orphans : int;  (* dead-shard state a rebirth failed to restore *)
-  rep_reinc_stale : int;  (* registry entries restoring nothing real *)
-  rep_reinc_residue : int;  (* rights left behind after a shard reboot *)
-  rep_reinc_budget_exhausted : int;
-      (* supervised servers demoted to degraded mode (informational — a
-         policy outcome, not a safety violation, so it is excluded from
-         {!total_findings}) *)
-  rep_findings : finding list;  (* oldest first; includes leak findings *)
+  rep_counters : (string * int * bool) list;
+      (** every counter once, in a fixed order: its JSON key, its value,
+          and whether it counts as a finding.  Observed: [spaces],
+          [right_transitions], [live_rights] (shadow entries held at
+          report time), [teardown_residual] (rights released implicitly
+          by task teardown), [blocks_tracked], [buffers_shadowed],
+          [remap_moves], [crash_points] (points enumerated and verified),
+          [vnodes_shadowed], [ncache_shadowed], [net_sockets],
+          [net_touches], [reinc_kills], [reinc_reboots] and
+          [reinc_budget_exhausted] (servers demoted to degraded mode: a
+          policy outcome, not a safety violation).  Findings:
+          [leaked_rights] (live entries naming a dead port),
+          [right_double_frees], [right_downgrades], [wait_cycles],
+          [buf_double_releases], [buf_use_after_release], [double_moves],
+          [write_after_move], [mapout_evictions], [lost_writes]
+          (acknowledged writes missing after recovery), [torn_states],
+          [vnode_ref_underflows], [vnode_use_after_reclaim],
+          [vnode_leaks] (refs held when a mount recovered),
+          [ncache_stale] (hits naming a reclaimed vnode),
+          [net_shard_crossings] (touches from a shard that is not home),
+          [reinc_orphans], [reinc_stale_registry] and
+          [reinc_rights_residue]. *)
+  rep_findings : finding list;  (** oldest first; includes leak findings *)
 }
 
 val create : unit -> t
@@ -109,6 +85,10 @@ val install : t -> unit
 val uninstall : unit -> unit
 
 val installed : unit -> t option
+
+val with_checker : bool -> (t option -> 'a) -> 'a
+(** [with_checker enabled f] runs [f (Some t)] with a fresh [t]
+    installed for the duration, or [f None] when not [enabled]. *)
 
 (* --- rights sanitizer --------------------------------------------------- *)
 
@@ -369,9 +349,19 @@ val findings : t -> finding list
     {!report}, which scans live entries against dead ports). *)
 
 val report : t -> report
+
+val count : report -> string -> int
+(** The counter under a JSON key.
+    @raise Invalid_argument for a key that is not a counter. *)
+
 val total_findings : report -> int
-val to_json : report -> string
-(** One JSON object with per-checker counts and the finding list —
-    the payload of [BENCH_check.json]. *)
+(** The sum of the finding counters.  This, {!to_json} and {!pp_report}
+    all derive from [rep_counters]. *)
+
+val to_json : report -> Json.t
+(** One JSON object with per-checker counts, ["total_findings"] and the
+    finding list — the per-workload payload of [BENCH_check.json]. *)
 
 val pp_report : Format.formatter -> report -> unit
+(** The observed counters, then the finding counters, then one line per
+    finding. *)

@@ -54,28 +54,32 @@ type t = {
   mutable txn : (int * bytes) list option;  (* newest first *)
 }
 
-(* journal write counters per cache, for observability *)
-let journal_counters : (Block_cache.t * int ref) list ref = ref []
+(* Journal-write counter and last recovery scan per cache, for
+   observability.  Ephemerons keyed by the cache itself, so a booted
+   machine's cache (and everything it reaches) is collected with it. *)
+module Per_cache = Ephemeron.K1.Make (struct
+  type t = Block_cache.t
+
+  let equal = ( == )
+  let hash c = Hashtbl.hash (Machine.Disk.name (Block_cache.disk c))
+end)
+
+let journal_counters : int ref Per_cache.t = Per_cache.create 8
 
 let journal_counter cache =
-  match List.find_opt (fun (c, _) -> c == cache) !journal_counters with
-  | Some (_, r) -> r
+  match Per_cache.find_opt journal_counters cache with
+  | Some r -> r
   | None ->
       let r = ref 0 in
-      journal_counters := (cache, r) :: !journal_counters;
+      Per_cache.replace journal_counters cache r;
       r
 
 let journal_writes cache = !(journal_counter cache)
 
-(* last recovery scan per cache, for observability *)
-let recoveries : (Block_cache.t * Journal.recovery) list ref = ref []
+let recoveries : Journal.recovery Per_cache.t = Per_cache.create 8
 
-let set_recovery cache rv =
-  recoveries :=
-    (cache, rv) :: List.filter (fun (c, _) -> c != cache) !recoveries
-
-let last_recovery cache =
-  Option.map snd (List.find_opt (fun (c, _) -> c == cache) !recoveries)
+let set_recovery cache rv = Per_cache.replace recoveries cache rv
+let last_recovery cache = Per_cache.find_opt recoveries cache
 
 let get16 b off = Char.code (Bytes.get b off) lor (Char.code (Bytes.get b (off + 1)) lsl 8)
 

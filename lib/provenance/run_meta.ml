@@ -1,5 +1,6 @@
 (* Provenance stamped into every BENCH_*.json: which commit produced the
-   numbers, which seed drove the run, and when.  Memoized per process so
+   numbers, which seed drove the run, and when.  [envelope] is the one
+   place that writes it.  Memoized per process so
    every writer in one run agrees and so re-running a workload with the
    checker toggled emits byte-identical JSON (the determinism the tests
    assert). *)
@@ -15,13 +16,8 @@ let memo f =
         v
 
 let read_file path =
-  try
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Some s
-  with Sys_error _ | End_of_file -> None
+  try Some (In_channel.with_open_bin path In_channel.input_all)
+  with Sys_error _ -> None
 
 (* Resolve HEAD by hand ([.git/HEAD] -> ref file or packed-refs): the
    bench must not shell out, and the test sandbox has no .git at all —
@@ -81,5 +77,16 @@ let timestamp =
         tm.Unix.tm_sec)
 
 let json ?(seed = 0) () =
-  Printf.sprintf "{ \"git_rev\": %S, \"seed\": %d, \"timestamp\": %S }"
-    (git_rev ()) seed (timestamp ())
+  Json.Obj
+    [
+      ("git_rev", Json.Str (git_rev ())); ("seed", Json.int seed);
+      ("timestamp", Json.Str (timestamp ()));
+    ]
+
+let envelope ~experiment ?seed fields =
+  Json.to_string
+    (Json.Obj
+       (("experiment", Json.Str experiment)
+       :: ("schema_version", Json.int 2)
+       :: ("run", json ?seed ())
+       :: fields))

@@ -4,14 +4,11 @@
     run emits the same stamp, and re-running a workload with the checker
     toggled stays byte-identical. *)
 
-val git_rev : unit -> string
-(** The commit hash of HEAD, resolved by reading [.git] directly
-    (searching upward from the working directory); ["unknown"] outside a
-    work tree (e.g. the test sandbox). *)
-
-val timestamp : unit -> string
-(** UTC, [YYYY-MM-DDThh:mm:ssZ]; frozen at first use. *)
-
-val json : ?seed:int -> unit -> string
+val json : ?seed:int -> unit -> Json.t
 (** The [{ "git_rev": ..., "seed": ..., "timestamp": ... }] object for a
     ["run"] field.  [seed] defaults to 0 for unseeded workloads. *)
+
+val envelope : experiment:string -> ?seed:int -> (string * Json.t) list -> string
+(** The text of a whole BENCH_*.json document: ["experiment"],
+    ["schema_version"] and ["run"] (the provenance envelope every file
+    carries, and {!Bench_ab} requires), then [fields]. *)

@@ -7,10 +7,13 @@
    but never gates.  Host-time and provenance fields are skipped — only
    deterministic simulated metrics can fail a build.
 
+   Threshold 0 means exact: every changed leaf fails, whatever its
+   direction, and so does every leaf present in only one file.  That is
+   how the smoke run checks its output against the checked-in baselines
+   — the simulator is deterministic, so nothing may move unannounced.
+
    The two files must carry the same "experiment" and "schema_version";
    comparing apples to oranges is an error, not a zero diff. *)
-
-module Json = Ipc_stress.Json
 
 type delta = {
   d_path : string;
@@ -25,8 +28,8 @@ type verdict = {
   v_experiment : string;
   v_threshold : float;
   v_compared : int;  (* numeric leaves present in both files *)
-  v_only_a : int;  (* leaves present in A but missing from B *)
-  v_only_b : int;
+  v_only_a : string list;  (* leaves present in A but missing from B *)
+  v_only_b : string list;
   v_deltas : delta list;  (* changed leaves only, worst first *)
   v_regressions : int;
 }
@@ -34,27 +37,22 @@ type verdict = {
 (* Provenance and host-time noise: never compared. *)
 let skipped_subtree = function "run" -> true | _ -> false
 
+let contains path sub =
+  let n = String.length path and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub path i m = sub || go (i + 1)) in
+  m > 0 && go 0
+
 let skipped_leaf path =
-  let has sub =
-    let n = String.length path and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub path i m = sub || go (i + 1)) in
-    m > 0 && go 0
-  in
-  has "host_ns" || has "timestamp" || has "git_rev" || has "seed"
+  List.exists (contains path) [ "host_ns"; "timestamp"; "git_rev"; "seed" ]
 
 let direction path =
-  let has sub =
-    let n = String.length path and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub path i m = sub || go (i + 1)) in
-    m > 0 && go 0
-  in
-  if
-    has "throughput" || has "speedup" || has "completed" || has "hits"
-    || has "hit_rate"
+  let any = List.exists (contains path) in
+  if any [ "throughput"; "speedup"; "completed"; "hits"; "hit_rate"; "pass" ]
   then `Higher_better
   else if
-    has "cycles" || has "miss" || has "stall" || has "retries" || has "lost"
-    || has "torn" || has "findings" || has "residual" || has "gave_up"
+    any
+      [ "cycles"; "miss"; "stall"; "retries"; "lost"; "torn"; "findings";
+        "residual"; "gave_up" ]
   then `Lower_better
   else `Neutral
 
@@ -107,99 +105,86 @@ let flatten json =
   go "" json;
   List.rev !acc
 
-let str_member key json =
-  match Json.member key json with Some (Json.Str s) -> Some s | _ -> None
-
-let num_member key json =
-  match Json.member key json with Some (Json.Num x) -> Some x | _ -> None
+let verdict ~experiment ~threshold ja jb =
+  let exact = threshold = 0.0 in
+  let tb = Hashtbl.create 64 in
+  List.iter (fun (k, v) -> Hashtbl.replace tb k v) (flatten jb);
+  let compared = ref 0 and only_a = ref [] and deltas = ref [] in
+  List.iter
+    (fun (path, va) ->
+      match Hashtbl.find_opt tb path with
+      | None -> only_a := path :: !only_a
+      | Some vb ->
+          incr compared;
+          Hashtbl.remove tb path;
+          if va <> vb then begin
+            let change =
+              if va = 0.0 then if vb > 0.0 then infinity else neg_infinity
+              else (vb -. va) /. Float.abs va
+            in
+            let dir = direction path in
+            let regression =
+              exact
+              ||
+              match dir with
+              | `Higher_better -> change < -.threshold
+              | `Lower_better -> change > threshold
+              | `Neutral -> false
+            in
+            deltas :=
+              { d_path = path; d_a = va; d_b = vb; d_change = change;
+                d_direction = dir; d_regression = regression }
+              :: !deltas
+          end)
+    (flatten ja);
+  let only_a = List.rev !only_a in
+  let only_b = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tb []) in
+  let deltas =
+    List.sort
+      (fun x y ->
+        match (y.d_regression, x.d_regression) with
+        | true, false -> 1
+        | false, true -> -1
+        | _ -> compare (Float.abs y.d_change) (Float.abs x.d_change))
+      !deltas
+  in
+  {
+    v_experiment = experiment;
+    v_threshold = threshold;
+    v_compared = !compared;
+    v_only_a = only_a;
+    v_only_b = only_b;
+    v_deltas = deltas;
+    v_regressions =
+      List.length (List.filter (fun d -> d.d_regression) deltas)
+      + if exact then List.length only_a + List.length only_b else 0;
+  }
 
 let compare_json ~a ~b ~threshold =
+  let header key ja jb =
+    match (Json.member key ja, Json.member key jb) with
+    | None, _ | _, None -> Error (Printf.sprintf "missing %S field" key)
+    | Some x, Some y when x <> y ->
+        Error
+          (Printf.sprintf "%s mismatch: %s vs %s" key (Json.compact x)
+             (Json.compact y))
+    | Some x, Some _ -> Ok x
+  in
   match (Json.parse a, Json.parse b) with
   | Error e, _ -> Error (Printf.sprintf "A: invalid JSON: %s" e)
   | _, Error e -> Error (Printf.sprintf "B: invalid JSON: %s" e)
   | Ok ja, Ok jb -> (
-      match (str_member "experiment" ja, str_member "experiment" jb) with
-      | None, _ | _, None -> Error "missing \"experiment\" field"
-      | Some ea, Some eb when ea <> eb ->
-          Error (Printf.sprintf "experiment mismatch: %S vs %S" ea eb)
-      | Some experiment, _ -> (
-          match (num_member "schema_version" ja, num_member "schema_version" jb)
-          with
-          | None, _ | _, None -> Error "missing \"schema_version\" field"
-          | Some va, Some vb when va <> vb ->
-              Error
-                (Printf.sprintf "schema_version mismatch: %g vs %g" va vb)
-          | Some _, _ ->
-              let fa = flatten ja and fb = flatten jb in
-              let tb = Hashtbl.create 64 in
-              List.iter (fun (k, v) -> Hashtbl.replace tb k v) fb;
-              let compared = ref 0 and only_a = ref 0 in
-              let deltas = ref [] in
-              List.iter
-                (fun (path, va) ->
-                  match Hashtbl.find_opt tb path with
-                  | None -> incr only_a
-                  | Some vb ->
-                      incr compared;
-                      Hashtbl.remove tb path;
-                      if va <> vb then begin
-                        let change =
-                          if va = 0.0 then
-                            if vb > 0.0 then infinity else neg_infinity
-                          else (vb -. va) /. Float.abs va
-                        in
-                        let dir = direction path in
-                        let regression =
-                          match dir with
-                          | `Higher_better -> change < -.threshold
-                          | `Lower_better -> change > threshold
-                          | `Neutral -> false
-                        in
-                        deltas :=
-                          {
-                            d_path = path;
-                            d_a = va;
-                            d_b = vb;
-                            d_change = change;
-                            d_direction = dir;
-                            d_regression = regression;
-                          }
-                          :: !deltas
-                      end)
-                fa;
-              let only_b = Hashtbl.length tb in
-              let deltas =
-                List.sort
-                  (fun x y ->
-                    match (y.d_regression, x.d_regression) with
-                    | true, false -> 1
-                    | false, true -> -1
-                    | _ ->
-                        compare
-                          (Float.abs y.d_change)
-                          (Float.abs x.d_change))
-                  !deltas
-              in
-              Ok
-                {
-                  v_experiment = experiment;
-                  v_threshold = threshold;
-                  v_compared = !compared;
-                  v_only_a = !only_a;
-                  v_only_b = only_b;
-                  v_deltas = deltas;
-                  v_regressions =
-                    List.length (List.filter (fun d -> d.d_regression) deltas);
-                }))
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+      match (header "experiment" ja jb, header "schema_version" ja jb) with
+      | Error e, _ | _, Error e -> Error e
+      | Ok experiment, Ok _ ->
+          let experiment =
+            match experiment with Json.Str s -> s | v -> Json.compact v
+          in
+          Ok (verdict ~experiment ~threshold ja jb))
 
 let compare_files ~a ~b ~threshold =
-  match (read_file a, read_file b) with
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  match (read a, read b) with
   | exception Sys_error e -> Error e
   | sa, sb -> compare_json ~a:sa ~b:sb ~threshold
 
@@ -207,7 +192,10 @@ let pp_verdict ppf v =
   Format.fprintf ppf
     "experiment %s: %d metrics compared (%d only in A, %d only in B), \
      threshold %.1f%%@\n"
-    v.v_experiment v.v_compared v.v_only_a v.v_only_b (v.v_threshold *. 100.0);
+    v.v_experiment v.v_compared (List.length v.v_only_a)
+    (List.length v.v_only_b) (v.v_threshold *. 100.0);
+  List.iter (Format.fprintf ppf "only in A: %s@\n") v.v_only_a;
+  List.iter (Format.fprintf ppf "only in B: %s@\n") v.v_only_b;
   if v.v_deltas = [] then Format.fprintf ppf "no metric changed@\n"
   else begin
     Format.fprintf ppf "%-52s %14s %14s %9s@\n" "metric" "A" "B" "change";

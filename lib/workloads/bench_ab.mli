@@ -5,7 +5,10 @@
     metrics regress when they fall, cost-like metrics (cycles, misses,
     stalls) regress when they rise.  Provenance (the ["run"] subtree)
     and host-clock fields are excluded, so only deterministic simulated
-    metrics can gate a build. *)
+    metrics can gate a build.
+
+    Threshold 0 is exact: every changed leaf is a regression whatever
+    its direction, and so is every leaf present in only one file. *)
 
 type delta = {
   d_path : string;  (** dotted leaf path, arrays keyed by identity fields *)
@@ -13,17 +16,18 @@ type delta = {
   d_b : float;
   d_change : float;  (** (b - a) / a; infinite when a = 0 and b <> 0 *)
   d_direction : [ `Higher_better | `Lower_better | `Neutral ];
-  d_regression : bool;  (** moved the wrong way by more than threshold *)
+  d_regression : bool;
+      (** moved the wrong way by more than threshold (any move at 0) *)
 }
 
 type verdict = {
   v_experiment : string;
   v_threshold : float;
   v_compared : int;  (** numeric leaves present in both files *)
-  v_only_a : int;  (** leaves present in A but missing from B *)
-  v_only_b : int;
+  v_only_a : string list;  (** leaves present in A but missing from B *)
+  v_only_b : string list;
   v_deltas : delta list;  (** changed leaves only, regressions first *)
-  v_regressions : int;
+  v_regressions : int;  (** at threshold 0 this counts one-sided leaves too *)
 }
 
 val compare_json : a:string -> b:string -> threshold:float -> (verdict, string) result

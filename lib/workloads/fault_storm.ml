@@ -566,10 +566,7 @@ let crash_loop () =
 
 let run ?(seed = 42) ?(endpoints = 16) ?(rounds = 40) ?(victim_ops = 12)
     ?(clients = 3) ?(sessions = 6) ?(checks = false) () =
-  let chk = if checks then Some (Check.create ()) else None in
-  Option.iter Check.install chk;
-  Fun.protect ~finally:(fun () -> if checks then Check.uninstall ())
-  @@ fun () ->
+  Check.with_checker checks @@ fun chk ->
   let points =
     [
       shard_golden ~endpoints ~rounds ();
@@ -585,56 +582,57 @@ let run ?(seed = 42) ?(endpoints = 16) ?(rounds = 40) ?(victim_ops = 12)
     fr_check = Option.map Check.report chk;
   }
 
-(* --- acceptance probes ------------------------------------------------------ *)
+(* --- acceptance gates ------------------------------------------------------ *)
 
-let find r ~scenario =
-  List.find_opt (fun p -> p.fp_scenario = scenario) r.fr_points
-
-let total_lost r =
-  List.fold_left (fun acc p -> acc + p.fp_lost) 0 r.fr_points
-
-let min_availability r =
-  List.fold_left
-    (fun acc p ->
-      let acc = if p.fp_in_ops > 0 then min acc p.fp_avail_in else acc in
-      if p.fp_out_ops > 0 then min acc p.fp_avail_out else acc)
-    1.0 r.fr_points
-
-let golden_ok r = List.for_all (fun p -> p.fp_golden_ok) r.fr_points
-
-let degraded_fastfail r =
-  match find r ~scenario:"crash-loop" with
-  | Some p when p.fp_degraded > 0 -> p.fp_fastfail_cycles
-  | Some _ | None -> -1
+let gates r =
+  let sum f = List.fold_left (fun acc p -> acc + f p) 0 r.fr_points in
+  let availability =
+    List.fold_left
+      (fun acc p ->
+        let acc = if p.fp_in_ops > 0 then min acc p.fp_avail_in else acc in
+        if p.fp_out_ops > 0 then min acc p.fp_avail_out else acc)
+      1.0 r.fr_points
+  in
+  let golden = List.for_all (fun p -> p.fp_golden_ok) r.fr_points in
+  (* -1 when the server never demoted or the client never saw
+     [Kern_unavailable] *)
+  let fastfail =
+    match List.find_opt (fun p -> p.fp_scenario = "crash-loop") r.fr_points with
+    | Some p when p.fp_degraded > 0 -> p.fp_fastfail_cycles
+    | Some _ | None -> -1
+  in
+  Experiment.
+    [ at_most "lost" (float_of_int (sum (fun p -> p.fp_lost))) 0.0;
+      at_least "availability" availability 0.9;
+      at_least "golden_ok" (if golden then 1.0 else 0.0) 1.0;
+      at_least "fastfail_cycles_min" (float_of_int fastfail) 0.0;
+      at_most "fastfail_cycles_max" (float_of_int fastfail) 100_000.0 ]
 
 let to_json r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"experiment\": \"fault-storm\",\n";
-  Buffer.add_string b "  \"schema_version\": 2,\n";
-  Printf.bprintf b "  \"run\": %s,\n" (Run_meta.json ~seed:r.fr_seed ());
-  Printf.bprintf b "  \"seed\": %d,\n" r.fr_seed;
-  (match r.fr_check with
-  | None -> ()
-  | Some rep -> Printf.bprintf b "  \"machcheck\": %s,\n" (Check.to_json rep));
-  Buffer.add_string b "  \"results\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf b
-        "    { \"scenario\": %S, \"ops\": %d, \"completed\": %d, \"lost\": %d, \
-         \"in_window_ops\": %d, \"in_window_ok\": %d, \"out_window_ops\": %d, \
-         \"out_window_ok\": %d, \"availability_in\": %.3f, \
-         \"availability_out\": %.3f, \"rate_in_per_mcycle\": %.3f, \
-         \"rate_out_per_mcycle\": %.3f, \"fault_windows\": %d, \
-         \"mttr_cycles\": %.0f, \"restarts\": %d, \"wedge_kills\": %d, \
-         \"degraded\": %d, \"reboot_drops\": %d, \"reincarnations\": %d, \
-         \"golden_ok\": %b, \"fastfail_cycles\": %d }%s\n"
-        p.fp_scenario p.fp_ops p.fp_completed p.fp_lost p.fp_in_ops p.fp_in_ok
-        p.fp_out_ops p.fp_out_ok p.fp_avail_in p.fp_avail_out p.fp_rate_in
-        p.fp_rate_out p.fp_windows p.fp_mttr p.fp_restarts p.fp_wedge_kills
-        p.fp_degraded p.fp_reboot_drops p.fp_reincarnations p.fp_golden_ok
-        p.fp_fastfail_cycles
-        (if i = List.length r.fr_points - 1 then "" else ","))
-    r.fr_points;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  [
+    ("seed", Json.int r.fr_seed);
+    ( "results",
+      Json.rows
+        (fun p ->
+          [ ("scenario", Json.Str p.fp_scenario); ("ops", Json.int p.fp_ops);
+            ("completed", Json.int p.fp_completed);
+            ("lost", Json.int p.fp_lost);
+            ("in_window_ops", Json.int p.fp_in_ops);
+            ("in_window_ok", Json.int p.fp_in_ok);
+            ("out_window_ops", Json.int p.fp_out_ops);
+            ("out_window_ok", Json.int p.fp_out_ok);
+            ("availability_in", Json.fixed 3 p.fp_avail_in);
+            ("availability_out", Json.fixed 3 p.fp_avail_out);
+            ("rate_in_per_mcycle", Json.fixed 3 p.fp_rate_in);
+            ("rate_out_per_mcycle", Json.fixed 3 p.fp_rate_out);
+            ("fault_windows", Json.int p.fp_windows);
+            ("mttr_cycles", Json.fixed 0 p.fp_mttr);
+            ("restarts", Json.int p.fp_restarts);
+            ("wedge_kills", Json.int p.fp_wedge_kills);
+            ("degraded", Json.int p.fp_degraded);
+            ("reboot_drops", Json.int p.fp_reboot_drops);
+            ("reincarnations", Json.int p.fp_reincarnations);
+            ("golden_ok", Json.Bool p.fp_golden_ok);
+            ("fastfail_cycles", Json.int p.fp_fastfail_cycles) ])
+        r.fr_points );
+  ]

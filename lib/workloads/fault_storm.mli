@@ -70,25 +70,13 @@ val run :
     {!Check} rides along globally (every boot and every supervised
     restart attaches to it). *)
 
-(** {1 Acceptance probes (the bench gates)} *)
+val gates : result -> Experiment.gate list
+(** No acked or attempted operation lost; the worst success ratio over
+    every scenario's in-window and out-of-window populations at least
+    0.90; every golden assert held (untouched shards byte-identical to
+    the control run, victim shortfall exactly the counted drops, the
+    fault run dropped something); and the crash-loop fast-fail within
+    [0, 100000] cycles (-1 when the server never demoted). *)
 
-val find : result -> scenario:string -> point option
-
-val total_lost : result -> int
-(** Acked/attempted operations lost across all scenarios — the
-    zero-acked-loss gate. *)
-
-val min_availability : result -> float
-(** Worst success ratio over every scenario's in-window and out-of-window
-    populations (1.0 when a population is empty). *)
-
-val golden_ok : result -> bool
-(** All golden asserts held: untouched shards byte-identical to the
-    control run, victim shortfall exactly the counted drops, and the
-    fault run actually dropped something. *)
-
-val degraded_fastfail : result -> int
-(** The crash-loop scenario's fast-fail latency in cycles, or -1 if the
-    server never demoted or the client never saw [Kern_unavailable]. *)
-
-val to_json : result -> string
+val to_json : result -> (string * Json.t) list
+(** The fields of [BENCH_storm.json] after the envelope. *)

@@ -184,10 +184,7 @@ let run ?(seed = 42) ?(clients = 4) ?(sessions = 10) ?(rates = default_rates)
   if rates = [] then invalid_arg "Fault_sweep.run: empty rate list";
   (* Machcheck rides along by global install: each point's boot attaches
      its kernel to the checker, including every supervised restart. *)
-  let chk = if checks then Some (Check.create ()) else None in
-  Option.iter Check.install chk;
-  Fun.protect ~finally:(fun () -> if checks then Check.uninstall ())
-  @@ fun () ->
+  Check.with_checker checks @@ fun chk ->
   let baseline = run_point ~seed ~clients ~sessions ~crash_ppm:0 in
   let points =
     List.map (fun ppm -> run_point ~seed ~clients ~sessions ~crash_ppm:ppm)
@@ -203,36 +200,30 @@ let run ?(seed = 42) ?(clients = 4) ?(sessions = 10) ?(rates = default_rates)
   }
 
 let to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"experiment\": \"fault-sweep\",\n";
-  Buffer.add_string b "  \"schema_version\": 2,\n";
-  Printf.bprintf b "  \"run\": %s,\n" (Run_meta.json ~seed:r.r_seed ());
-  Printf.bprintf b "  \"seed\": %d,\n" r.r_seed;
-  Printf.bprintf b "  \"clients\": %d,\n" r.r_clients;
-  Printf.bprintf b "  \"sessions\": %d,\n" r.r_sessions;
-  Printf.bprintf b "  \"ops\": %d,\n" (r.r_clients * r.r_sessions);
-  Printf.bprintf b "  \"baseline_cycles_per_op\": %.1f,\n"
-    r.r_baseline_cycles_per_op;
-  (match r.r_check with
-  | None -> ()
-  | Some rep -> Printf.bprintf b "  \"machcheck\": %s,\n" (Check.to_json rep));
-  Buffer.add_string b "  \"results\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf b
-        "    { \"crash_ppm\": %d, \"ops\": %d, \"completed\": %d, \
-         \"completion_rate\": %.3f, \"retries\": %d, \"reopens\": %d, \
-         \"restarts\": %d, \"gave_up\": %b, \"injected_crashes\": %d, \
-         \"disk_faults\": %d, \"cycles_per_op\": %.1f, \
-         \"added_cycles_per_op\": %.1f }%s\n"
-        p.p_crash_ppm p.p_ops p.p_completed
-        (if p.p_ops = 0 then 0.0
-         else float_of_int p.p_completed /. float_of_int p.p_ops)
-        p.p_retries p.p_reopens p.p_restarts p.p_gave_up p.p_injected_crashes
-        p.p_disk_faults p.p_cycles_per_op
-        (p.p_cycles_per_op -. r.r_baseline_cycles_per_op)
-        (if i = List.length r.r_points - 1 then "" else ","))
-    r.r_points;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  [
+    ("seed", Json.int r.r_seed); ("clients", Json.int r.r_clients);
+    ("sessions", Json.int r.r_sessions);
+    ("ops", Json.int (r.r_clients * r.r_sessions));
+    ("baseline_cycles_per_op", Json.fixed 1 r.r_baseline_cycles_per_op);
+    ( "results",
+      Json.rows
+        (fun p ->
+          [ ("crash_ppm", Json.int p.p_crash_ppm); ("ops", Json.int p.p_ops);
+            ("completed", Json.int p.p_completed);
+            ( "completion_rate",
+              Json.fixed 3
+                (if p.p_ops = 0 then 0.0
+                 else float_of_int p.p_completed /. float_of_int p.p_ops)
+            );
+            ("retries", Json.int p.p_retries);
+            ("reopens", Json.int p.p_reopens);
+            ("restarts", Json.int p.p_restarts);
+            ("gave_up", Json.Bool p.p_gave_up);
+            ("injected_crashes", Json.int p.p_injected_crashes);
+            ("disk_faults", Json.int p.p_disk_faults);
+            ("cycles_per_op", Json.fixed 1 p.p_cycles_per_op);
+            ( "added_cycles_per_op",
+              Json.fixed 1
+                (p.p_cycles_per_op -. r.r_baseline_cycles_per_op) ) ])
+        r.r_points );
+  ]

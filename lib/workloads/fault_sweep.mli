@@ -44,6 +44,5 @@ val run :
     sweep — including every supervised restart — under Machcheck and
     fills [r_check]. *)
 
-val to_json : result -> string
-(** Machine-readable form, written to [BENCH_faults.json] by the bench
-    runner. *)
+val to_json : result -> (string * Json.t) list
+(** The fields of [BENCH_faults.json] after the envelope. *)

@@ -44,20 +44,5 @@ val run :
     fills [r_check].
     @raise Invalid_argument on an empty size list. *)
 
-val to_json : result -> string
-(** The machine-readable form written to [BENCH_ipc.json]. *)
-
-(** Minimal JSON reader used to validate emitted results (the repo has
-    no JSON dependency). *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val parse : string -> (t, string) Stdlib.result
-  val member : string -> t -> t option
-end
+val to_json : result -> (string * Json.t) list
+(** The fields of [BENCH_ipc.json] after the envelope. *)

@@ -491,10 +491,7 @@ let run ?(cpus = default_cpus) ?(endpoints = 32) ?(clients = 20_000)
   List.iter
     (fun n -> if n < 1 then invalid_arg "Net_storm.run: ncpus must be >= 1")
     cpus;
-  let chk = if checks then Some (Check.create ()) else None in
-  Option.iter Check.install chk;
-  Fun.protect ~finally:(fun () -> if checks then Check.uninstall ())
-  @@ fun () ->
+  Check.with_checker checks @@ fun chk ->
   let flood_ncpus = List.fold_left max 1 cpus in
   let points =
     List.concat_map
@@ -524,61 +521,61 @@ let run ?(cpus = default_cpus) ?(endpoints = 32) ?(clients = 20_000)
     nr_check = Option.map Check.report chk;
   }
 
-(* --- acceptance probes ---------------------------------------------------- *)
+(* --- acceptance gates ------------------------------------------------------ *)
 
-let phase_point r ~phase ~ncpus =
-  List.find_opt
-    (fun p -> p.np_phase = phase && p.np_ncpus = ncpus)
-    r.nr_points
-
-let steady_speedup r ~ncpus =
-  match phase_point r ~phase:"steady" ~ncpus with
-  | Some p -> p.np_speedup
-  | None -> 0.0
-
-(* Worst p99/p50 ratio across the skewed points (ncpus > 1). *)
-let skew_tail_ratio r =
-  List.fold_left
-    (fun acc p ->
-      if p.np_phase = "skew" && p.np_ncpus > 1 && p.np_p50_cycles > 0 then
-        max acc (float_of_int p.np_p99_cycles /. float_of_int p.np_p50_cycles)
-      else acc)
-    0.0 r.nr_points
-
-let total_lost r =
-  List.fold_left (fun acc p -> acc + p.np_lost_acked) 0 r.nr_points
+(* Steady speedup at 4 CPUs (when swept), the worst p99/p50 ratio across
+   the skewed multi-CPU points, and zero lost acknowledged operations. *)
+let gates r =
+  let steady4 =
+    List.filter_map
+      (fun p ->
+        if p.np_phase = "steady" && p.np_ncpus = 4 then
+          Some (Experiment.at_least "steady_speedup_4cpu" p.np_speedup 2.5)
+        else None)
+      r.nr_points
+  in
+  let tail =
+    List.fold_left
+      (fun acc p ->
+        if p.np_phase = "skew" && p.np_ncpus > 1 && p.np_p50_cycles > 0 then
+          max acc
+            (float_of_int p.np_p99_cycles /. float_of_int p.np_p50_cycles)
+        else acc)
+      0.0 r.nr_points
+  in
+  let lost = List.fold_left (fun acc p -> acc + p.np_lost_acked) 0 r.nr_points in
+  steady4
+  @ [ Experiment.at_most "skew_p99_over_p50" tail 3.0;
+      Experiment.at_most "lost_acked" (float_of_int lost) 0.0 ]
 
 let to_json r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"experiment\": \"net-storm\",\n";
-  Buffer.add_string b "  \"schema_version\": 2,\n";
-  Printf.bprintf b "  \"run\": %s,\n" (Run_meta.json ());
-  Printf.bprintf b "  \"cpus\": [%s],\n"
-    (String.concat ", " (List.map string_of_int r.nr_cpus));
-  Printf.bprintf b
-    "  \"params\": { \"endpoints\": %d, \"clients\": %d, \"packets\": %d, \
-     \"bytes\": %d, \"sessions\": %d, \"flood_syns\": %d },\n"
-    r.nr_endpoints r.nr_clients r.nr_packets r.nr_bytes r.nr_sessions
-    r.nr_flood_syns;
-  (match r.nr_check with
-  | None -> ()
-  | Some rep -> Printf.bprintf b "  \"machcheck\": %s,\n" (Check.to_json rep));
-  Buffer.add_string b "  \"results\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf b
-        "    { \"phase\": %S, \"ncpus\": %d, \"clients\": %d, \"ops\": %d, \
-         \"wall_cycles\": %d, \"throughput_ops_per_mcycle\": %.3f, \
-         \"speedup\": %.3f, \"conns\": %d, \"p50_cycles\": %d, \
-         \"p99_cycles\": %d, \"fairness\": %.3f, \"syn_drops\": %d, \
-         \"wire_drops\": %d, \"reaped\": %d, \"half_open_peak\": %d, \
-         \"retries\": %d, \"lost_acked\": %d, \"xshard_msgs\": %d }%s\n"
-        p.np_phase p.np_ncpus p.np_clients p.np_ops p.np_wall_cycles
-        p.np_throughput p.np_speedup p.np_conns p.np_p50_cycles p.np_p99_cycles
-        p.np_fairness p.np_syn_drops p.np_wire_drops p.np_reaped
-        p.np_half_open_peak p.np_retries p.np_lost_acked p.np_xshard_msgs
-        (if i = List.length r.nr_points - 1 then "" else ","))
-    r.nr_points;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  [
+    ("cpus", Json.Arr (List.map Json.int r.nr_cpus));
+    ( "params",
+      Json.Obj
+        [ ("endpoints", Json.int r.nr_endpoints);
+          ("clients", Json.int r.nr_clients);
+          ("packets", Json.int r.nr_packets); ("bytes", Json.int r.nr_bytes);
+          ("sessions", Json.int r.nr_sessions);
+          ("flood_syns", Json.int r.nr_flood_syns) ] );
+    ( "results",
+      Json.rows
+        (fun p ->
+          [ ("phase", Json.Str p.np_phase); ("ncpus", Json.int p.np_ncpus);
+            ("clients", Json.int p.np_clients); ("ops", Json.int p.np_ops);
+            ("wall_cycles", Json.int p.np_wall_cycles);
+            ("throughput_ops_per_mcycle", Json.fixed 3 p.np_throughput);
+            ("speedup", Json.fixed 3 p.np_speedup);
+            ("conns", Json.int p.np_conns);
+            ("p50_cycles", Json.int p.np_p50_cycles);
+            ("p99_cycles", Json.int p.np_p99_cycles);
+            ("fairness", Json.fixed 3 p.np_fairness);
+            ("syn_drops", Json.int p.np_syn_drops);
+            ("wire_drops", Json.int p.np_wire_drops);
+            ("reaped", Json.int p.np_reaped);
+            ("half_open_peak", Json.int p.np_half_open_peak);
+            ("retries", Json.int p.np_retries);
+            ("lost_acked", Json.int p.np_lost_acked);
+            ("xshard_msgs", Json.int p.np_xshard_msgs) ])
+        r.nr_points );
+  ]

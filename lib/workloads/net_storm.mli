@@ -64,17 +64,11 @@ val run :
     packets per firehose point, 512-byte payloads, 24 sessions per CPU,
     200 flood SYNs, 12 victim ops per CPU. *)
 
-val steady_speedup : result -> ncpus:int -> float
-(** Steady-phase packets/sec at [ncpus] relative to 1 CPU — the
-    headline acceptance number (>= 2.5 at 4 CPUs). *)
+val gates : result -> Experiment.gate list
+(** Steady-phase packets/sec at 4 CPUs at least 2.5x of 1 CPU (when the
+    sweep has 4 CPUs), worst p99/p50 delivery-latency ratio over the
+    skewed multi-CPU points at most 3, and no acknowledged operation
+    lost in any phase. *)
 
-val skew_tail_ratio : result -> float
-(** Worst p99/p50 delivery-latency ratio over the skewed multi-CPU
-    points (acceptance: <= 3). *)
-
-val total_lost : result -> int
-(** Acknowledged operations lost across every phase (acceptance: 0). *)
-
-val phase_point : result -> phase:string -> ncpus:int -> point option
-val to_json : result -> string
-(** The BENCH_net.json payload (standard provenance envelope). *)
+val to_json : result -> (string * Json.t) list
+(** The fields of [BENCH_net.json] after the envelope. *)

@@ -353,10 +353,7 @@ let run ?(seed = 42) ?(ops = 12) ?(max_points = 64) ?(series = default_series)
   if ops <= 0 then invalid_arg "Recovery_sweep.run: ops must be positive";
   if max_points <= 0 then
     invalid_arg "Recovery_sweep.run: max_points must be positive";
-  let chk = if checks then Some (Check.create ()) else None in
-  Option.iter Check.install chk;
-  Fun.protect ~finally:(fun () -> if checks then Check.uninstall ())
-  @@ fun () ->
+  Check.with_checker checks @@ fun chk ->
   let total = count_writes ~ops in
   let indices =
     if total <= max_points then List.init total (fun i -> i + 1)
@@ -383,61 +380,53 @@ let run ?(seed = 42) ?(ops = 12) ?(max_points = 64) ?(series = default_series)
     r_check = Option.map Check.report chk;
   }
 
+let overhead_pct p =
+  if p.ov_plain_cycles_per_op > 0.0 then
+    (p.ov_jfs_cycles_per_op -. p.ov_plain_cycles_per_op)
+    /. p.ov_plain_cycles_per_op *. 100.0
+  else 0.0
+
 let to_json r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"experiment\": \"recovery-sweep\",\n";
-  Buffer.add_string b "  \"schema_version\": 2,\n";
-  Printf.bprintf b "  \"run\": %s,\n" (Run_meta.json ~seed:r.r_seed ());
-  Printf.bprintf b "  \"seed\": %d,\n" r.r_seed;
-  Printf.bprintf b "  \"ops\": %d,\n" r.r_ops;
-  Printf.bprintf b "  \"total_writes\": %d,\n" r.r_total_writes;
-  Printf.bprintf b "  \"points_checked\": %d,\n" r.r_points_checked;
-  Printf.bprintf b "  \"exhaustive\": %b,\n" r.r_exhaustive;
-  Printf.bprintf b "  \"lost_writes\": %d,\n" r.r_lost_writes;
-  Printf.bprintf b "  \"torn_states\": %d,\n" r.r_torn_states;
-  (match r.r_check with
-  | None -> ()
-  | Some rep -> Printf.bprintf b "  \"machcheck\": %s,\n" (Check.to_json rep));
-  Buffer.add_string b "  \"crash_points\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf b
-        "    { \"write\": %d, \"acked_ops\": %d, \"replayed_txns\": %d, \
-         \"replayed_blocks\": %d, \"discarded\": %d, \"fsck_findings\": %d, \
-         \"lost\": %d, \"torn\": %d, \"recovery_cycles\": %d }%s\n"
-        p.cp_write p.cp_acked p.cp_replayed_txns p.cp_replayed_blocks
-        p.cp_discarded p.cp_fsck_findings p.cp_lost p.cp_torn
-        p.cp_recovery_cycles
-        (if i = List.length r.r_points - 1 then "" else ","))
-    r.r_points;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"journal_overhead\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf b
-        "    { \"ops\": %d, \"plain_cycles_per_op\": %.1f, \
-         \"jfs_cycles_per_op\": %.1f, \"overhead_pct\": %.1f, \
-         \"plain_disk_writes\": %d, \"jfs_disk_writes\": %d, \
-         \"journal_records\": %d }%s\n"
-        p.ov_ops p.ov_plain_cycles_per_op p.ov_jfs_cycles_per_op
-        (if p.ov_plain_cycles_per_op > 0.0 then
-           (p.ov_jfs_cycles_per_op -. p.ov_plain_cycles_per_op)
-           /. p.ov_plain_cycles_per_op *. 100.0
-         else 0.0)
-        p.ov_plain_disk_writes p.ov_jfs_disk_writes p.ov_journal_records
-        (if i = List.length r.r_overhead - 1 then "" else ","))
-    r.r_overhead;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"recovery_latency\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf b
-        "    { \"ops\": %d, \"journal_records\": %d, \"replayed_txns\": %d, \
-         \"replayed_blocks\": %d, \"recovery_cycles\": %d }%s\n"
-        p.lt_ops p.lt_journal_records p.lt_replayed_txns p.lt_replayed_blocks
-        p.lt_recovery_cycles
-        (if i = List.length r.r_latency - 1 then "" else ","))
-    r.r_latency;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  [
+    ("seed", Json.int r.r_seed); ("ops", Json.int r.r_ops);
+    ("total_writes", Json.int r.r_total_writes);
+    ("points_checked", Json.int r.r_points_checked);
+    ("exhaustive", Json.Bool r.r_exhaustive);
+    ("lost_writes", Json.int r.r_lost_writes);
+    ("torn_states", Json.int r.r_torn_states);
+    ( "crash_points",
+      Json.rows
+        (fun p ->
+          [ ("write", Json.int p.cp_write); ("acked_ops", Json.int p.cp_acked);
+            ("replayed_txns", Json.int p.cp_replayed_txns);
+            ("replayed_blocks", Json.int p.cp_replayed_blocks);
+            ("discarded", Json.int p.cp_discarded);
+            ("fsck_findings", Json.int p.cp_fsck_findings);
+            ("lost", Json.int p.cp_lost); ("torn", Json.int p.cp_torn);
+            ("recovery_cycles", Json.int p.cp_recovery_cycles) ])
+        r.r_points );
+    ( "journal_overhead",
+      Json.rows
+        (fun p ->
+          [ ("ops", Json.int p.ov_ops);
+            ("plain_cycles_per_op", Json.fixed 1 p.ov_plain_cycles_per_op);
+            ("jfs_cycles_per_op", Json.fixed 1 p.ov_jfs_cycles_per_op);
+            ("overhead_pct", Json.fixed 1 (overhead_pct p));
+            ("plain_disk_writes", Json.int p.ov_plain_disk_writes);
+            ("jfs_disk_writes", Json.int p.ov_jfs_disk_writes);
+            ("journal_records", Json.int p.ov_journal_records) ])
+        r.r_overhead );
+    ( "recovery_latency",
+      Json.rows
+        (fun p ->
+          [ ("ops", Json.int p.lt_ops);
+            ("journal_records", Json.int p.lt_journal_records);
+            ("replayed_txns", Json.int p.lt_replayed_txns);
+            ("replayed_blocks", Json.int p.lt_replayed_blocks);
+            ("recovery_cycles", Json.int p.lt_recovery_cycles) ])
+        r.r_latency );
+  ]
+
+let gates r =
+  [ Experiment.at_most "lost_writes" (float_of_int r.r_lost_writes) 0.0;
+    Experiment.at_most "torn_states" (float_of_int r.r_torn_states) 0.0 ]

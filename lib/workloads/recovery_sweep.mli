@@ -67,5 +67,8 @@ val run :
     workload; [series] (default [[4; 8; 16]]) sizes the overhead and
     latency side series. *)
 
-val to_json : result -> string
-(** The payload of [BENCH_recovery.json]. *)
+val to_json : result -> (string * Json.t) list
+(** The fields of [BENCH_recovery.json] after the envelope. *)
+
+val gates : result -> Experiment.gate list
+(** No lost acknowledged write, no torn recovered state. *)

@@ -217,10 +217,7 @@ let run ?(cpus = default_cpus) ?(pairs = 8) ?(iters = 150) ?(bytes = 512)
   List.iter
     (fun n -> if n < 1 then invalid_arg "Smp_scaling.run: ncpus must be >= 1")
     cpus;
-  let chk = if checks then Some (Check.create ()) else None in
-  Option.iter Check.install chk;
-  Fun.protect ~finally:(fun () -> if checks then Check.uninstall ())
-  @@ fun () ->
+  Check.with_checker checks @@ fun chk ->
   let points =
     List.concat_map
       (fun ncpus ->
@@ -247,63 +244,51 @@ let run ?(cpus = default_cpus) ?(pairs = 8) ?(iters = 150) ?(bytes = 512)
     r_check = Option.map Check.report chk;
   }
 
-(* The headline acceptance number: colocated ipc speedup at [n] CPUs. *)
-let ipc_speedup r ~ncpus =
-  match
-    List.find_opt
-      (fun pt ->
-        pt.sp_workload = "ipc" && pt.sp_placement = "colocated"
-        && pt.sp_ncpus = ncpus)
-      r.r_points
-  with
-  | Some pt -> pt.sp_speedup
-  | None -> 0.0
+(* The headline acceptance number: colocated ipc speedup at 4 CPUs, when
+   the sweep has a 4-CPU point. *)
+let gates r =
+  List.filter_map
+    (fun pt ->
+      if pt.sp_workload = "ipc" && pt.sp_placement = "colocated"
+         && pt.sp_ncpus = 4
+      then Some (Experiment.at_least "ipc_speedup_4cpu" pt.sp_speedup 1.5)
+      else None)
+    r.r_points
 
 let to_json r =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"experiment\": \"smp-scaling\",\n";
-  Buffer.add_string b "  \"schema_version\": 2,\n";
-  Printf.bprintf b "  \"run\": %s,\n" (Run_meta.json ());
-  Printf.bprintf b "  \"cpus\": [%s],\n"
-    (String.concat ", " (List.map string_of_int r.r_cpus));
-  Printf.bprintf b "  \"ipc\": { \"pairs\": %d, \"iters\": %d, \"bytes\": %d },\n"
-    r.r_pairs r.r_iters r.r_bytes;
-  Printf.bprintf b
-    "  \"fileserver\": { \"clients\": %d, \"sessions\": %d },\n" r.r_clients
-    r.r_sessions;
-  Buffer.add_string b "  \"machine_state\": [\n";
-  List.iteri
-    (fun i (ms : Machine.Footprint.machine_state) ->
-      Printf.bprintf b
-        "    { \"ncpus\": %d, \"cache_bytes_per_cpu\": %d, \
-         \"tlb_bytes_per_cpu\": %d, \"bus_directory_bytes\": %d, \
-         \"total_bytes\": %d }%s\n"
-        ms.Machine.Footprint.ms_ncpus
-        ms.Machine.Footprint.ms_cache_bytes_per_cpu
-        ms.Machine.Footprint.ms_tlb_bytes_per_cpu
-        ms.Machine.Footprint.ms_bus_directory_bytes
-        ms.Machine.Footprint.ms_total_bytes
-        (if i = List.length r.r_state - 1 then "" else ","))
-    r.r_state;
-  Buffer.add_string b "  ],\n";
-  (match r.r_check with
-  | None -> ()
-  | Some rep -> Printf.bprintf b "  \"machcheck\": %s,\n" (Check.to_json rep));
-  Buffer.add_string b "  \"results\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf b
-        "    { \"workload\": %S, \"placement\": %S, \"ncpus\": %d, \
-         \"ops\": %d, \"wall_cycles\": %d, \
-         \"throughput_ops_per_mcycle\": %.3f, \"speedup\": %.3f, \
-         \"ipis\": %d, \"xmsgs\": %d, \"steals\": %d, \
-         \"coherence_misses\": %d, \"bus_stall_cycles\": %d, \
-         \"bus_transactions\": %d }%s\n"
-        p.sp_workload p.sp_placement p.sp_ncpus p.sp_ops p.sp_wall_cycles
-        p.sp_throughput p.sp_speedup p.sp_ipis p.sp_xmsgs p.sp_steals
-        p.sp_coherence_misses p.sp_bus_stall_cycles p.sp_bus_transactions
-        (if i = List.length r.r_points - 1 then "" else ","))
-    r.r_points;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  let ints l = Json.Arr (List.map Json.int l) in
+  [
+    ("cpus", ints r.r_cpus);
+    ( "ipc",
+      Json.Obj
+        [ ("pairs", Json.int r.r_pairs); ("iters", Json.int r.r_iters);
+          ("bytes", Json.int r.r_bytes) ] );
+    ( "fileserver",
+      Json.Obj
+        [ ("clients", Json.int r.r_clients);
+          ("sessions", Json.int r.r_sessions) ] );
+    ( "machine_state",
+      Json.rows
+        (fun (ms : Machine.Footprint.machine_state) ->
+          [ ("ncpus", Json.int ms.ms_ncpus);
+            ("cache_bytes_per_cpu", Json.int ms.ms_cache_bytes_per_cpu);
+            ("tlb_bytes_per_cpu", Json.int ms.ms_tlb_bytes_per_cpu);
+            ("bus_directory_bytes", Json.int ms.ms_bus_directory_bytes);
+            ("total_bytes", Json.int ms.ms_total_bytes) ])
+        r.r_state );
+    ( "results",
+      Json.rows
+        (fun p ->
+          [ ("workload", Json.Str p.sp_workload);
+            ("placement", Json.Str p.sp_placement);
+            ("ncpus", Json.int p.sp_ncpus); ("ops", Json.int p.sp_ops);
+            ("wall_cycles", Json.int p.sp_wall_cycles);
+            ("throughput_ops_per_mcycle", Json.fixed 3 p.sp_throughput);
+            ("speedup", Json.fixed 3 p.sp_speedup);
+            ("ipis", Json.int p.sp_ipis); ("xmsgs", Json.int p.sp_xmsgs);
+            ("steals", Json.int p.sp_steals);
+            ("coherence_misses", Json.int p.sp_coherence_misses);
+            ("bus_stall_cycles", Json.int p.sp_bus_stall_cycles);
+            ("bus_transactions", Json.int p.sp_bus_transactions) ])
+        r.r_points );
+  ]

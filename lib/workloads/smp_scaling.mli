@@ -45,8 +45,9 @@ val run :
     6 clients x 4 edit sessions.  [~checks:true] runs the whole sweep
     under Machcheck (globally installed for the duration). *)
 
-val ipc_speedup : result -> ncpus:int -> float
-(** Colocated-ipc throughput at [ncpus] relative to 1 CPU — the headline
-    scaling number. *)
+val gates : result -> Experiment.gate list
+(** Colocated-ipc throughput at 4 CPUs is at least 1.5x of 1 CPU — the
+    headline scaling number; absent when the sweep has no 4-CPU point. *)
 
-val to_json : result -> string
+val to_json : result -> (string * Json.t) list
+(** The fields of [BENCH_smp.json] after the envelope. *)

@@ -62,10 +62,7 @@ let wide_path i = Printf.sprintf "/os2/wide/f%03d.dat" i
 let run ?(depth = 12) ?(files = 48) ?(repeats = 6) ?(cpus = 4)
     ?(checks = false) () =
   if depth < 1 then invalid_arg "Vfs_walk.run: depth must be >= 1";
-  let chk = if checks then Some (Check.create ()) else None in
-  Option.iter Check.install chk;
-  Fun.protect ~finally:(fun () -> if checks then Check.uninstall ())
-  @@ fun () ->
+  Check.with_checker checks @@ fun chk ->
   let m =
     Machine.create (Machine.Config.with_ncpus Machine.Config.pentium_133 ~n:cpus)
   in
@@ -203,45 +200,43 @@ let run ?(depth = 12) ?(files = 48) ?(repeats = 6) ?(cpus = 4)
   }
 
 let to_json r =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"experiment\": \"vfs-walk\",\n";
-  Buffer.add_string b "  \"schema_version\": 2,\n";
-  Printf.bprintf b "  \"run\": %s,\n" (Run_meta.json ());
-  Printf.bprintf b
-    "  \"config\": { \"depth\": %d, \"files\": %d, \"repeats\": %d, \
-     \"cpus\": %d },\n"
-    r.r_depth r.r_files r.r_repeats r.r_cpus;
-  Buffer.add_string b "  \"phases\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf b
-        "    { \"phase\": %S, \"ops\": %d, \"cycles\": %d, \
-         \"cycles_per_op\": %.1f, \"cache_hits\": %d, \"cache_misses\": %d, \
-         \"hit_rate\": %.4f }%s\n"
-        p.ph_name p.ph_ops p.ph_cycles p.ph_cycles_per_op p.ph_hits p.ph_misses
-        p.ph_hit_rate
-        (if i = List.length r.r_phases - 1 then "" else ","))
-    r.r_phases;
-  Buffer.add_string b "  ],\n";
-  Printf.bprintf b "  \"hot_hit_rate\": %.4f,\n" r.r_hot_hit_rate;
-  Printf.bprintf b "  \"deep_cached_cycles_per_op\": %.1f,\n"
-    r.r_deep_cached_cycles_per_op;
-  Printf.bprintf b "  \"deep_raw_cycles_per_op\": %.1f,\n"
-    r.r_deep_raw_cycles_per_op;
-  Printf.bprintf b "  \"deep_speedup\": %.2f,\n" r.r_deep_speedup;
-  Printf.bprintf b
-    "  \"concurrent\": { \"completed\": %d, \"expected\": %d },\n"
-    r.r_concurrent_ok r.r_concurrent_expected;
-  Printf.bprintf b "  \"compromises\": %d,\n" r.r_compromises;
-  Printf.bprintf b
-    "  \"cache\": { \"capacity\": %d, \"entries\": %d, \"insertions\": %d, \
-     \"evictions\": %d, \"invalidations\": %d },\n"
-    r.r_cache.F.Namecache.cs_capacity r.r_cache.F.Namecache.cs_entries
-    r.r_cache.F.Namecache.cs_insertions r.r_cache.F.Namecache.cs_evictions
-    r.r_cache.F.Namecache.cs_invalidations;
-  (match r.r_check with
-  | None -> Buffer.add_string b "  \"machcheck\": null\n"
-  | Some rep -> Printf.bprintf b "  \"machcheck\": %s\n" (Check.to_json rep));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  let c = r.r_cache in
+  [
+    ( "config",
+      Json.Obj
+        [ ("depth", Json.int r.r_depth); ("files", Json.int r.r_files);
+          ("repeats", Json.int r.r_repeats); ("cpus", Json.int r.r_cpus) ] );
+    ( "phases",
+      Json.rows
+        (fun p ->
+          [ ("phase", Json.Str p.ph_name); ("ops", Json.int p.ph_ops);
+            ("cycles", Json.int p.ph_cycles);
+            ("cycles_per_op", Json.fixed 1 p.ph_cycles_per_op);
+            ("cache_hits", Json.int p.ph_hits);
+            ("cache_misses", Json.int p.ph_misses);
+            ("hit_rate", Json.fixed 4 p.ph_hit_rate) ])
+        r.r_phases );
+    ("hot_hit_rate", Json.fixed 4 r.r_hot_hit_rate);
+    ("deep_cached_cycles_per_op", Json.fixed 1 r.r_deep_cached_cycles_per_op);
+    ("deep_raw_cycles_per_op", Json.fixed 1 r.r_deep_raw_cycles_per_op);
+    ("deep_speedup", Json.fixed 2 r.r_deep_speedup);
+    ( "concurrent",
+      Json.Obj
+        [ ("completed", Json.int r.r_concurrent_ok);
+          ("expected", Json.int r.r_concurrent_expected) ] );
+    ("compromises", Json.int r.r_compromises);
+    ( "cache",
+      Json.Obj
+        [ ("capacity", Json.int c.F.Namecache.cs_capacity);
+          ("entries", Json.int c.F.Namecache.cs_entries);
+          ("insertions", Json.int c.F.Namecache.cs_insertions);
+          ("evictions", Json.int c.F.Namecache.cs_evictions);
+          ("invalidations", Json.int c.F.Namecache.cs_invalidations) ] );
+  ]
+
+let gates r =
+  [ Experiment.at_least "hot_hit_rate" r.r_hot_hit_rate 0.9;
+    Experiment.at_least "deep_speedup" r.r_deep_speedup 2.0;
+    Experiment.at_most "concurrent_failed"
+      (float_of_int (r.r_concurrent_expected - r.r_concurrent_ok))
+      0.0 ]

@@ -42,4 +42,9 @@ val run :
     [~checks:true] runs under Machcheck's vnode/name-cache checker
     (globally installed for the duration). *)
 
-val to_json : result -> string
+val to_json : result -> (string * Json.t) list
+(** The fields of [BENCH_vfs.json] after the envelope. *)
+
+val gates : result -> Experiment.gate list
+(** Hot hit rate at least 90%, the cached deep walk at least 2x cheaper
+    than the raw one, and every concurrent lookup completed. *)

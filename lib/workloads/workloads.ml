@@ -13,5 +13,5 @@ module Smp_scaling = Smp_scaling
 module Vfs_walk = Vfs_walk
 module Net_storm = Net_storm
 module Fault_storm = Fault_storm
+module Experiment = Experiment
 module Bench_ab = Bench_ab
-module Run_meta = Run_meta

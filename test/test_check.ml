@@ -34,7 +34,7 @@ let test_leaked_right () =
   Mach.Port.destroy sys p;
   (* the receive right died with the port; [user]'s send right dangles *)
   let rep = Check.report chk in
-  Alcotest.(check int) "one leak" 1 rep.Check.rep_leaked_rights;
+  Alcotest.(check int) "one leak" 1 (Check.count rep "leaked_rights");
   Alcotest.(check int) "user still shadows one right" 1
     (Mach.Mcheck.dead_rights sys user);
   Alcotest.(check int) "owner's receive right was reclaimed" 0
@@ -58,7 +58,8 @@ let test_double_free () =
   Alcotest.(check bool) "second dealloc rejected" true
     (Mach.Port.deallocate_right sys user name = Kern_invalid_name);
   let rep = Check.report chk in
-  Alcotest.(check int) "one double-free" 1 rep.Check.rep_right_double_frees;
+  Alcotest.(check int) "one double-free" 1
+    (Check.count rep "right_double_frees");
   match find_kind rep "double-free" with
   | [ f ] ->
       Alcotest.(check bool) "names the task" true
@@ -75,7 +76,7 @@ let test_downgrade () =
   let p = Mach.Port.allocate sys ~receiver:owner ~name:"p" in
   ignore (Mach.Port.insert_right sys owner p Send_once_right : int);
   Alcotest.(check int) "kernel upgrade-only insert is clean" 0
-    (Check.report chk).Check.rep_right_downgrades;
+    (Check.count (Check.report chk) "right_downgrades");
   (* ...and the checker is what would catch a kernel regressing it:
      shadow a port space whose second insert records a weaker right. *)
   let bad = Check.create () in
@@ -85,7 +86,8 @@ let test_downgrade () =
   Check.right_inserted bad ~space ~task:7 ~tname:"victim" ~port:9 ~pname:"cap"
     ~right:Check.R_send_once ~now:Check.R_send_once;
   let rep = Check.report bad in
-  Alcotest.(check int) "downgrade detected" 1 rep.Check.rep_right_downgrades;
+  Alcotest.(check int) "downgrade detected" 1
+    (Check.count rep "right_downgrades");
   match find_kind rep "downgrade" with
   | [ f ] ->
       Alcotest.(check bool) "names the port" true (contains f.Check.f_detail "cap")
@@ -110,7 +112,7 @@ let[@machlint.allow "lock-order"] test_mutex_abba_cycle () =
       ignore (Mach.Sync.mutex_lock sys m1 : kern_return));
   Mach.Kernel.run k;
   let rep = Check.report chk in
-  Alcotest.(check int) "one wait cycle" 1 rep.Check.rep_wait_cycles;
+  Alcotest.(check int) "one wait cycle" 1 (Check.count rep "wait_cycles");
   Alcotest.(check int) "both threads still in the graph" 2
     (Check.blocked_count chk);
   match find_kind rep "wait-cycle" with
@@ -138,7 +140,7 @@ let test_self_rpc_cycle () =
       ignore (Mach.Rpc.call sys p (simple_message ())));
   Mach.Kernel.run k;
   let rep = Check.report chk in
-  Alcotest.(check int) "self-call cycle" 1 rep.Check.rep_wait_cycles;
+  Alcotest.(check int) "self-call cycle" 1 (Check.count rep "wait_cycles");
   match find_kind rep "wait-cycle" with
   | [ f ] ->
       Alcotest.(check bool) "names the service port" true
@@ -193,7 +195,7 @@ let test_fault_kill_clears_edges () =
   Alcotest.(check int) "no stale wait-for edges after the kill" 0
     (Check.blocked_count chk);
   Alcotest.(check int) "no cycle findings" 0
-    (Check.report chk).Check.rep_wait_cycles
+    (Check.count (Check.report chk) "wait_cycles")
 
 let test_wrong_holder_unlock_audited () =
   let k, sys, chk = checked_kernel () in
@@ -233,7 +235,7 @@ let test_buffer_double_release () =
   Mach.Ktext.buffer_free kt a;
   let rep = Check.report chk in
   Alcotest.(check int) "double release detected" 1
-    rep.Check.rep_buf_double_releases;
+    (Check.count rep "buf_double_releases");
   match find_kind rep "double-release" with
   | [ f ] ->
       Alcotest.(check bool) "names the buffer" true
@@ -251,8 +253,9 @@ let test_buffer_use_after_release () =
   Mach.Ktext.buffer_use kt a;  (* retired: a kernel path on a stale handle *)
   let rep = Check.report chk in
   Alcotest.(check int) "use-after-release detected" 1
-    rep.Check.rep_buf_use_after_release;
-  Alcotest.(check int) "no double release" 0 rep.Check.rep_buf_double_releases
+    (Check.count rep "buf_use_after_release");
+  Alcotest.(check int) "no double release" 0
+    (Check.count rep "buf_double_releases")
 
 let test_buffer_clean_traffic () =
   (* sustained mach_msg traffic allocates and retires buffers constantly;
@@ -271,9 +274,10 @@ let test_buffer_clean_traffic () =
   Mach.Kernel.run k;
   let rep = Check.report chk in
   Alcotest.(check bool) "buffers were shadowed" true
-    (rep.Check.rep_buf_shadowed > 50);
+    (Check.count rep "buffers_shadowed" > 50);
   Alcotest.(check int) "no buffer findings" 0
-    (rep.Check.rep_buf_double_releases + rep.Check.rep_buf_use_after_release);
+    (Check.count rep "buf_double_releases"
+     + Check.count rep "buf_use_after_release");
   Alcotest.(check int) "no findings at all" 0
     (Check.total_findings rep)
 
@@ -291,8 +295,8 @@ let[@machlint.allow "port-linearity"] test_remap_double_move () =
          longer owns *)
       ignore (Mach.Vm.remap_move sys ~src_task:src ~addr:a ~bytes ~dst_task:dst : int));
   let rep = Check.report chk in
-  Alcotest.(check int) "two moves recorded" 2 rep.Check.rep_remap_moves;
-  Alcotest.(check int) "one double move" 1 rep.Check.rep_double_moves;
+  Alcotest.(check int) "two moves recorded" 2 (Check.count rep "remap_moves");
+  Alcotest.(check int) "one double move" 1 (Check.count rep "double_moves");
   match find_kind rep "double-move" with
   | [ f ] ->
       Alcotest.(check bool) "names the task" true (contains f.Check.f_detail "donor")
@@ -312,7 +316,8 @@ let[@machlint.allow "port-linearity"] test_remap_write_after_move () =
       (* the sender scribbles on the range it just donated *)
       Mach.Vm.touch sys src ~addr:a ~write:true ~bytes:8 ());
   let rep = Check.report chk in
-  Alcotest.(check int) "one write-after-move" 1 rep.Check.rep_write_after_move;
+  Alcotest.(check int) "one write-after-move" 1
+    (Check.count rep "write_after_move");
   (match find_kind rep "write-after-move" with
   | [ f ] ->
       Alcotest.(check bool) "names the task" true
@@ -332,7 +337,7 @@ let[@machlint.allow "port-linearity"] test_remap_write_after_move () =
       let b = Mach.Vm.allocate sys2 src2 ~bytes () in
       Mach.Vm.touch sys2 src2 ~addr:b ~write:true ~bytes ());
   Alcotest.(check int) "cleared range is silent" 0
-    (Check.report chk2).Check.rep_write_after_move
+    (Check.count (Check.report chk2) "write_after_move")
 
 let test_remap_mapout_eviction () =
   let k, sys, chk = checked_kernel () in
@@ -349,7 +354,8 @@ let test_remap_mapout_eviction () =
       | Some _ -> ()
       | None -> Alcotest.fail "wrapping acquire failed");
   let rep = Check.report chk in
-  Alcotest.(check int) "one unpinned eviction" 1 rep.Check.rep_mapout_evictions;
+  Alcotest.(check int) "one unpinned eviction" 1
+    (Check.count rep "mapout_evictions");
   (match find_kind rep "mapout-eviction" with
   | [ f ] ->
       Alcotest.(check bool) "without a pin" true
@@ -371,7 +377,7 @@ let test_remap_mapout_eviction () =
       | Some _ -> Alcotest.fail "whole-ring acquire stole a pinned page"
       | None -> ());
   Alcotest.(check int) "pin held: no finding" 0
-    (Check.report chk2).Check.rep_mapout_evictions;
+    (Check.count (Check.report chk2) "mapout_evictions");
   Alcotest.(check int) "one page still pinned" 1 (F.Block_cache.pool_pinned cache2)
 
 let test_remap_zero_copy_clean () =
@@ -407,7 +413,8 @@ let test_remap_zero_copy_clean () =
       F.File_server.Client.close fs h);
   ignore sys;
   let rep = Check.report chk in
-  Alcotest.(check bool) "donation observed" true (rep.Check.rep_remap_moves >= 1);
+  Alcotest.(check bool) "donation observed" true
+    (Check.count rep "remap_moves" >= 1);
   Alcotest.(check int) "zero findings" 0 (Check.total_findings rep)
 
 (* --- supervised restart: the dead incarnation holds nothing -------------- *)
@@ -481,10 +488,11 @@ let test_restart_zero_residual_rights () =
     (Mach.Mcheck.dead_rights sys fs_task);
   let rep = Check.report chk in
   Alcotest.(check int) "no leaks anywhere after crash+restart" 0
-    rep.Check.rep_leaked_rights;
+    (Check.count rep "leaked_rights");
   Alcotest.(check int) "no findings at all" 0 (Check.total_findings rep);
   Alcotest.(check bool) "the run actually exercised the sanitizers" true
-    (rep.Check.rep_right_transitions > 0 && rep.Check.rep_blocks_tracked > 0)
+    (Check.count rep "right_transitions" > 0
+     && Check.count rep "blocks_tracked" > 0)
 
 (* --- all four workloads under Machcheck ---------------------------------- *)
 
@@ -507,7 +515,7 @@ let test_table1_micro_clean () =
   Alcotest.(check int) "table1+micro: zero findings" 0
     (Check.total_findings rep);
   Alcotest.(check bool) "rights traffic was watched" true
-    (rep.Check.rep_right_transitions > 0)
+    (Check.count rep "right_transitions" > 0)
 
 let test_stress_workloads_clean_and_json () =
   (* the CI smoke: ipc-stress and fault-sweep under Machcheck, failing
@@ -535,13 +543,13 @@ let test_stress_workloads_clean_and_json () =
   Alcotest.(check int) "fault-sweep: zero findings" 0
     (Check.total_findings rep_flt);
   Alcotest.(check bool) "fault-sweep tracked restarts' rights traffic" true
-    (rep_flt.Check.rep_right_transitions > 0);
+    (Check.count rep_flt "right_transitions" > 0);
   (* the JSON the bench writes to BENCH_check.json parses and carries
      per-checker counts *)
-  let module J = Workloads.Ipc_stress.Json in
+  let module J = Json in
   List.iter
     (fun rep ->
-      match J.parse (Check.to_json rep) with
+      match J.parse (J.to_string (Check.to_json rep)) with
       | Error e -> Alcotest.failf "machcheck json does not parse: %s" e
       | Ok j ->
           List.iter
@@ -557,8 +565,14 @@ let test_stress_workloads_clean_and_json () =
           | Some (J.Arr []) -> ()
           | _ -> Alcotest.fail "findings array not empty"))
     [ rep_ipc; rep_flt ];
-  (* workload JSON embeds the same report *)
-  match J.parse (Workloads.Ipc_stress.to_json ipc) with
+  (* the bench document embeds the same report *)
+  let doc =
+    Workloads.Experiment.(
+      document "ipc-stress"
+        (result ?check:ipc.Workloads.Ipc_stress.r_check
+           (Workloads.Ipc_stress.to_json ipc)))
+  in
+  match J.parse doc with
   | Error e -> Alcotest.failf "ipc-stress json does not parse: %s" e
   | Ok j -> (
       match J.member "machcheck" j with

@@ -301,8 +301,11 @@ let test_fault_sweep_smoke () =
     Workloads.Fault_sweep.run ~seed:7 ~clients:2 ~sessions:2
       ~rates:[ 20_000 ] ()
   in
-  let json = Workloads.Fault_sweep.to_json r in
-  let module J = Workloads.Ipc_stress.Json in
+  let json =
+    Workloads.Experiment.(
+      document "fault-sweep" (result (Workloads.Fault_sweep.to_json r)))
+  in
+  let module J = Json in
   match J.parse json with
   | Error e -> Alcotest.failf "BENCH_faults.json does not parse: %s" e
   | Ok v -> (

@@ -271,6 +271,19 @@ let test_jfs_journal_writes () =
       ignore (ok "hpfs create" (hpfs.pfs_create ~dir:hpfs.pfs_root "h" ~is_dir:false));
       Alcotest.(check int) "hpfs does not journal" j1 (F.Extfs.journal_writes cache))
 
+(* The per-cache journal counter and recovery report must not keep a
+   booted machine alive: every boot mounts a journalled JFS volume, and
+   once the system is dropped its cache, kernel and machine go too. *)
+let test_booted_machines_collected () =
+  let first = Weak.create 1 in
+  for i = 1 to 3 do
+    let w = Wpos.boot () in
+    if i = 1 then Weak.set first 0 (Some w.Wpos.machine)
+  done;
+  Gc.full_major ();
+  Alcotest.(check bool) "first machine (and its cache) collected" false
+    (Weak.check first 0)
+
 let test_extfs_rename_and_truncate () =
   run_jfs (fun _k pfs ->
       let id = ok "create" (pfs.pfs_create ~dir:pfs.pfs_root "old" ~is_dir:false) in
@@ -507,6 +520,8 @@ let suite =
     Alcotest.test_case "hpfs long names" `Quick test_hpfs_long_names_case_insensitive;
     Alcotest.test_case "jfs case sensitivity" `Quick test_jfs_case_sensitive;
     Alcotest.test_case "jfs journal writes" `Quick test_jfs_journal_writes;
+    Alcotest.test_case "booted machines are collected" `Quick
+      test_booted_machines_collected;
     Alcotest.test_case "extfs rename+truncate" `Quick test_extfs_rename_and_truncate;
     Alcotest.test_case "extfs sparse files" `Quick test_extfs_sparse_and_holes;
     Alcotest.test_case "vfs union semantics" `Quick test_vfs_union_semantics;

@@ -223,15 +223,10 @@ let test_ipc_stress_smoke () =
       checkb (p.pt_system ^ " cycles positive") true
         (p.pt_sim_cycles_per_op > 0.))
     r.r_points;
-  (* write the JSON out and read it back, as the benchmark harness does *)
-  let path = Filename.temp_file "bench_ipc" ".json" in
-  let oc = open_out path in
-  output_string oc (to_json r);
-  close_out oc;
-  let ic = open_in_bin path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove path;
+  (* the document the benchmark harness writes parses back *)
+  let text =
+    Workloads.Experiment.(document "ipc-stress" (result (to_json r)))
+  in
   match Json.parse text with
   | Error e -> Alcotest.fail ("BENCH_ipc.json does not parse: " ^ e)
   | Ok doc ->

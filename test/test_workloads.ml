@@ -107,6 +107,69 @@ let test_ipc_sweep_band () =
         Workloads.Micro.(small.sw_improvement > large.sw_improvement +. 1.0)
   | _ -> Alcotest.fail "unexpected sweep shape"
 
+(* --- the bench harness: exact baseline diff and gates ------------------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Known-bad: a one-leaf edit of a checked-in smoke baseline fails the
+   threshold-0 diff, even on a leaf no direction gates, and so does a
+   leaf missing from one side. *)
+let test_exact_diff_known_bad () =
+  let baseline = read_file "../bench/smoke/BENCH_vfs.json" in
+  let regressions ~threshold b =
+    match Workloads.Bench_ab.compare_json ~a:baseline ~b ~threshold with
+    | Ok v -> v.Workloads.Bench_ab.v_regressions
+    | Error e -> Alcotest.fail e
+  in
+  let edit f =
+    match Json.parse baseline with
+    | Ok (Json.Obj fields) -> Json.to_string (Json.Obj (f fields))
+    | _ -> Alcotest.fail "baseline is not a JSON object"
+  in
+  Alcotest.(check int) "baseline vs itself" 0
+    (regressions ~threshold:0.0 baseline);
+  let edited =
+    edit (List.map (fun (k, v) -> (k, if k = "compromises" then Json.int 1 else v)))
+  in
+  Alcotest.(check int) "one edited leaf fails exactly" 1
+    (regressions ~threshold:0.0 edited);
+  Alcotest.(check int) "a direction-free leaf is not gated at 5%" 0
+    (regressions ~threshold:0.05 edited);
+  Alcotest.(check int) "a missing leaf fails exactly" 1
+    (regressions ~threshold:0.0
+       (edit (List.filter (fun (k, _) -> k <> "compromises"))))
+
+(* Known-bad: a gate forced below its bound is written with
+   "pass": false and makes the run's exit status 1, and so does a
+   Machcheck finding. *)
+let test_failed_gate_known_bad () =
+  let open Workloads.Experiment in
+  let entry ?check gates =
+    make ~file:"BENCH_known_bad.json" "known-bad"
+      { full = ignore; smoke = None; machcheck = None }
+      (fun () -> result ?check ~gates [])
+  in
+  Alcotest.(check int) "passing gate" 0
+    (run Full [ entry [ at_least "forced" 1.0 1.0 ] ]);
+  Alcotest.(check int) "failed gate exits 1" 1
+    (run Full [ entry [ at_least "forced" 0.5 1.0 ] ]);
+  (match Json.parse (read_file "BENCH_known_bad.json") with
+  | Ok doc -> (
+      match Option.bind (Json.member "gates" doc) (Json.member "forced") with
+      | Some g ->
+          Alcotest.(check bool) "pass written as false" true
+            (Json.member "pass" g = Some (Json.Bool false))
+      | None -> Alcotest.fail "gate missing from the file")
+  | Error e -> Alcotest.fail e);
+  let chk = Check.create () in
+  let space = Check.new_space chk in
+  Check.buf_allocated chk ~space ~addr:64 ~bytes:128;
+  Check.buf_released chk ~space ~addr:64;
+  Check.buf_released chk ~space ~addr:64;
+  Alcotest.(check int) "a finding exits 1" 1
+    (run Full [ entry ~check:(Check.report chk) [] ]);
+  Sys.remove "BENCH_known_bad.json"
+
 let suite =
   [
     Alcotest.test_case "api parity: monolithic" `Quick test_api_parity_monolithic;
@@ -115,4 +178,8 @@ let suite =
     Alcotest.test_case "table1 specs complete" `Quick test_table1_specs_complete;
     Alcotest.test_case "table2 in paper bands" `Slow test_table2_bands;
     Alcotest.test_case "ipc sweep in paper band" `Slow test_ipc_sweep_band;
+    Alcotest.test_case "exact diff: edited smoke baseline fails" `Quick
+      test_exact_diff_known_bad;
+    Alcotest.test_case "gates: forced failure exits 1" `Quick
+      test_failed_gate_known_bad;
   ]
