@@ -482,8 +482,30 @@ let bench_ab ~a ~b ~threshold =
       Format.printf "%a@?" Bench_ab.pp_verdict v;
       if v.Bench_ab.v_regressions > 0 then 1 else 0
 
+(* The per-line memory-hierarchy path alone: 1000 warm fetch+load+store
+   triples per run, spread round-robin over the CPUs of a pentium_133
+   with [ncpus] processors.  With more than one CPU every line is shared,
+   so loads pay coherence transfers and stores book bus demand; the bus is
+   reset per run so its tables do not grow with the run count. *)
+let machine_fetch_load_store ~ncpus:n =
+  let open Machine in
+  let config = { Config.pentium_133 with Config.ncpus = n } in
+  let bus = Bus.create ~ncpus:n in
+  let cpus = Array.init n (fun id -> Cpu.create ~id ~bus config) in
+  let layout = Layout.create config in
+  let code = Layout.alloc layout ~name:"code" ~kind:Layout.Code ~size:4096 in
+  let data = Layout.alloc layout ~name:"data" ~kind:Layout.Data ~size:4096 in
+  fun () ->
+    Bus.reset bus;
+    for i = 0 to 999 do
+      let cpu = cpus.(i mod n) and off = i * 64 mod 2048 in
+      Cpu.fetch cpu code ~offset:off ~bytes:64;
+      Cpu.load cpu ~addr:(data.Layout.base + off) ~bytes:32;
+      Cpu.store cpu ~addr:(data.Layout.base + off) ~bytes:32
+    done
+
 (* host-time measurements of the experiment cores, one Bechamel test per
-   table/figure *)
+   table/figure, plus the machine model's per-line path *)
 let bechamel () =
   let open Bechamel in
   let open Toolkit in
@@ -500,6 +522,8 @@ let bechamel () =
         quick "table1:file-intensive-1" (fun () ->
             let spec = List.nth Workloads.Table1.all 0 in
             ignore (Workloads.Table1.run (fresh_native_api ()) spec));
+        quick "machine:fetch-load-store:1cpu" (machine_fetch_load_store ~ncpus:1);
+        quick "machine:fetch-load-store:4cpu" (machine_fetch_load_store ~ncpus:4);
       ]
   in
   let ols =

@@ -86,13 +86,11 @@ let rec evict_one (sys : Sched.t) =
       | Some _ | None -> evict_one sys)
 
 let zero_fill_cost (sys : Sched.t) addr =
-  (* clearing a frame: one store per line over the page *)
-  let rec build off acc =
-    if off >= page_size then acc
-    else
-      build (off + 32) (Machine.Footprint.store ~addr:(addr + off) ~bytes:32 :: acc)
-  in
-  Machine.execute sys.machine (build 0 [])
+  (* clearing a frame: one store per line over the page, top line first *)
+  let cpu = sys.machine.Machine.cpu in
+  for line = (page_size / 32) - 1 downto 0 do
+    Machine.Cpu.store cpu ~addr:(addr + (line * 32)) ~bytes:32
+  done
 
 let page_in (sys : Sched.t) obj idx =
   sys.pagein_count <- sys.pagein_count + 1;
@@ -332,11 +330,9 @@ let touch (sys : Sched.t) task ~addr ?(write = false) ~bytes () =
             | None -> ()
           end
         done;
-        let op =
-          if write then Machine.Footprint.store ~addr ~bytes
-          else Machine.Footprint.load ~addr ~bytes
-        in
-        Machine.execute sys.machine [ op ]
+        let cpu = sys.machine.Machine.cpu in
+        if write then Machine.Cpu.store cpu ~addr ~bytes
+        else Machine.Cpu.load cpu ~addr ~bytes
   end
 
 let shadow_object (sys : Sched.t) orig ~tag =

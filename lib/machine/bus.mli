@@ -18,12 +18,18 @@ val create : ncpus:int -> t
 
 val ncpus : t -> int
 
-val acquire : t -> now:float -> bus_cycles:int -> float
-(** [acquire t ~now ~bus_cycles] books a transaction of [bus_cycles]
-    issued at CPU-clock [now] and returns the stall cycles the issuing
-    CPU must absorb: zero while the surrounding capacity window has
+val window : float
+(** Length of a capacity window in cycles of the CPU clock; a window also
+    holds this many bus cycles of demand. *)
+
+val acquire : t -> window_index:int -> bus_cycles:int -> int
+(** [acquire t ~window_index ~bus_cycles] books a transaction of
+    [bus_cycles] issued at CPU-clock [now], where [window_index] is
+    [int_of_float (now /. window)], and returns the stall cycles the
+    issuing CPU must absorb: zero while that capacity window has
     bandwidth left, the unmet overflow once the window oversubscribes
-    (and always 0 on a 1-CPU machine). *)
+    (and always 0 on a 1-CPU machine).  The caller computes the index so
+    that no float crosses the call. *)
 
 val note_access : t -> cpu:int -> line:int -> write:bool -> bool
 (** Record a data access to [line] (a line-aligned address) by [cpu];

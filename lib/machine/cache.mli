@@ -7,10 +7,14 @@
 type t
 
 val create : Config.cache_geometry -> t
+(** @raise Invalid_argument unless the line size and the set count are
+    powers of two. *)
 
 val access : t -> int -> bool
 (** [access t addr] looks up the line containing physical address [addr],
-    inserting it (evicting LRU) on miss.  Returns [true] on hit. *)
+    inserting it (evicting the least recently used way, the lowest way on
+    ties) on miss.  Returns [true] on hit.
+    @raise Invalid_argument when [addr] is negative. *)
 
 val probe : t -> int -> bool
 (** [probe t addr] is like {!access} but without side effects. *)

@@ -1,3 +1,7 @@
+(* All-float, so OCaml stores the clock unboxed: a float field of a mixed
+   record is a pointer to a box, and every charge would allocate one. *)
+type clock = { mutable time : float }
+
 type t = {
   config : Config.t;
   id : int;  (* processor index within the machine, 0 = boot CPU *)
@@ -6,7 +10,7 @@ type t = {
   icache : Cache.t;
   dcache : Cache.t;
   tlb : Tlb.t;
-  mutable clock : float;
+  clock : clock;
 }
 
 let create ?(id = 0) ?bus (c : Config.t) =
@@ -18,7 +22,7 @@ let create ?(id = 0) ?bus (c : Config.t) =
     icache = Cache.create c.icache;
     dcache = Cache.create c.dcache;
     tlb = Tlb.create ~entries:c.tlb_entries ~page_size:c.page_size;
-    clock = 0.;
+    clock = { time = 0. };
   }
 
 let config t = t.config
@@ -33,12 +37,20 @@ let tlb t = t.tlb
    store penalty) are never lost; reads round to nearest rather than
    truncate, so repeated read-diff measurements carry no systematic
    downward drift. *)
-let now t = int_of_float (Float.round t.clock)
-let now_exact t = t.clock
+let now t = int_of_float (Float.round t.clock.time)
+let now_exact t = t.clock.time
 
+(* Every charge is a whole number of cycles or an int count times a float
+   rate (the CPI, the 0.5-cycle store penalty).  Passing the int and the
+   rate rather than their float product keeps the float unboxed, since a
+   computed float argument to a call across modules is boxed. *)
 let charge t cycles =
-  Perf.add_cycles t.perf cycles;
-  t.clock <- t.clock +. cycles
+  Perf.add_cycles_int t.perf cycles;
+  t.clock.time <- t.clock.time +. float_of_int cycles
+
+let charge_scaled t n k =
+  Perf.add_cycles_scaled t.perf n k;
+  t.clock.time <- t.clock.time +. (float_of_int n *. k)
 
 let charge_bus t n =
   Perf.add_bus_cycles t.perf n
@@ -48,11 +60,12 @@ let charge_bus t n =
    dedicated counter.  Never called on a 1-CPU machine. *)
 let charge_bus_smp t n =
   charge_bus t n;
-  let stall = Bus.acquire t.bus ~now:t.clock ~bus_cycles:n in
-  if stall > 0. then begin
+  let window_index = int_of_float (t.clock.time /. Bus.window) in
+  let stall = Bus.acquire t.bus ~window_index ~bus_cycles:n in
+  if stall > 0 then begin
     Perf.bus_stall t.perf stall;
-    t.clock <- t.clock +. stall;
-    Perf.add_cycles t.perf stall
+    t.clock.time <- t.clock.time +. float_of_int stall;
+    Perf.add_cycles_int t.perf stall
   end
 
 (* Walk the lines of [addr..addr+bytes), consulting [cache]; each miss
@@ -79,14 +92,14 @@ let lines_and_pages t cache addr bytes ~is_icache =
          replaces the memory line fill. *)
       Perf.dcache_access t.perf ~hit:false;
       Perf.coherence_miss t.perf;
-      charge t (float_of_int c.coherence_miss_cycles);
+      charge t c.coherence_miss_cycles;
       charge_bus_smp t c.line_fill_bus_cycles
     end
     else begin
       if is_icache then Perf.icache_access t.perf ~hit
       else Perf.dcache_access t.perf ~hit;
       if not hit then begin
-        charge t (float_of_int c.line_fill_cycles);
+        charge t c.line_fill_cycles;
         if smp then charge_bus_smp t c.line_fill_bus_cycles
         else charge_bus t c.line_fill_bus_cycles
       end
@@ -97,7 +110,7 @@ let lines_and_pages t cache addr bytes ~is_icache =
   for p = first_page to last_page do
     if not (Tlb.access t.tlb (p * c.page_size)) then begin
       Perf.tlb_miss t.perf;
-      charge t (float_of_int c.tlb_miss_cycles);
+      charge t c.tlb_miss_cycles;
       if smp then charge_bus_smp t c.tlb_miss_bus_cycles
       else charge_bus t c.tlb_miss_bus_cycles
     end
@@ -116,7 +129,7 @@ let fetch t (region : Layout.region) ~offset ~bytes =
   let addr = region.Layout.base + offset in
   let instructions = max 1 (bytes / c.bytes_per_instruction) in
   Perf.add_instructions t.perf instructions;
-  charge t (float_of_int instructions *. c.base_cpi);
+  charge_scaled t instructions c.base_cpi;
   lines_and_pages t t.icache addr bytes ~is_icache:true
 
 let load t ~addr ~bytes = lines_and_pages t t.dcache addr bytes ~is_icache:false
@@ -138,7 +151,7 @@ let store t ~addr ~bytes =
     charge_bus_smp t (words * c.write_bus_cycles)
   end
   else charge_bus t (words * c.write_bus_cycles);
-  charge t (float_of_int words *. 0.5)
+  charge_scaled t words 0.5
 
 (* A remap that edits live mappings must invalidate stale translations
    before either side runs again.  Priced as one IPI-class operation
@@ -147,10 +160,10 @@ let store t ~addr ~bytes =
 let tlb_shootdown t ~addr ~pages =
   let c = t.config in
   Perf.tlb_shootdown t.perf;
-  charge t (float_of_int c.address_space_switch_cycles);
+  charge t c.address_space_switch_cycles;
   for p = 0 to pages - 1 do
     Tlb.invalidate t.tlb (addr + (p * c.page_size));
-    charge t 2.
+    charge t 2
   done
 
 let execute_item t (item : Footprint.item) =
@@ -162,22 +175,22 @@ let execute_item t (item : Footprint.item) =
   | Uncached_read { bytes; _ } ->
       let words = max 1 ((bytes + 3) / 4) in
       charge_bus t (words * c.write_bus_cycles);
-      charge t (float_of_int (words * c.write_bus_cycles))
+      charge t (words * c.write_bus_cycles)
   | Uncached_write { bytes; _ } ->
       let words = max 1 ((bytes + 3) / 4) in
       charge_bus t (words * c.write_bus_cycles);
-      charge t (float_of_int words)
+      charge t words
   | Switch_address_space ->
       Perf.address_space_switch t.perf;
       Tlb.flush t.tlb;
-      charge t (float_of_int c.address_space_switch_cycles)
-  | Stall n -> charge t (float_of_int n)
+      charge t c.address_space_switch_cycles
+  | Stall n -> charge t n
 
 let execute t fp = List.iter (execute_item t) fp
 
 let advance_to t time =
   let time = float_of_int time in
-  if time > t.clock then t.clock <- time
+  if time > t.clock.time then t.clock.time <- time
 
 let flush_caches t =
   Cache.flush t.icache;

@@ -30,8 +30,8 @@ type t = {
   line : int;
   name : string;
   geometry : geometry;
-  store : bytes;
-  mutable queue : request list;  (* reversed: newest first *)
+  store : bytes array;  (* the media image in [chunk]-byte pieces *)
+  queue : request Queue.t;  (* waiting behind the busy request, FIFO *)
   mutable busy : bool;
   mutable served : int;
   mutable pending_completion : (unit -> unit) option;
@@ -40,6 +40,8 @@ type t = {
   mutable held : held list;  (* oldest first *)
   mutable writes_applied : int;  (* write events observed while powered *)
 }
+
+let chunk = 65536
 
 let default_geometry =
   {
@@ -59,8 +61,11 @@ let create cpu events irq ~line ~name geometry =
       line;
       name;
       geometry;
-      store = Bytes.make (geometry.blocks * geometry.block_size) '\000';
-      queue = [];
+      store =
+        Array.make
+          (((geometry.blocks * geometry.block_size) + chunk - 1) / chunk)
+          Bytes.empty;
+      queue = Queue.create ();
       busy = false;
       served = 0;
       pending_completion = None;
@@ -95,10 +100,45 @@ let blocks_of_request = function
   | Write { data; _ } -> Bytes.length data
   | Barrier _ -> 0
 
+(* --- the media image ----------------------------------------------------- *)
+(* A chunk is allocated on the first write of a non-zero byte to it; an
+   empty chunk reads as zeros.  A fresh disk then costs the host nothing
+   until its blocks are written, and a read sees exactly the bytes a flat
+   image would hold. *)
+
+let rec all_zero data i stop =
+  i >= stop || (Bytes.get data i = '\000' && all_zero data (i + 1) stop)
+
+let blit_in t ~pos data ~off ~len =
+  let rec go pos off len =
+    if len > 0 then begin
+      let c = pos / chunk and o = pos mod chunk in
+      let n = min len (chunk - o) in
+      if Bytes.length t.store.(c) = 0 && not (all_zero data off (off + n)) then
+        t.store.(c) <- Bytes.make chunk '\000';
+      if Bytes.length t.store.(c) > 0 then Bytes.blit data off t.store.(c) o n;
+      go (pos + n) (off + n) (len - n)
+    end
+  in
+  go pos off len
+
+let sub t ~pos ~len =
+  let out = Bytes.make len '\000' in
+  let rec go p =
+    if p < pos + len then begin
+      let c = p / chunk and o = p mod chunk in
+      let n = min (pos + len - p) (chunk - o) in
+      if Bytes.length t.store.(c) > 0 then Bytes.blit t.store.(c) o out (p - pos) n;
+      go (p + n)
+    end
+  in
+  go pos;
+  out
+
 (* --- media application, with the interceptor in the path ----------------- *)
 
 let land_write t ~block data =
-  Bytes.blit data 0 t.store (block * t.geometry.block_size) (Bytes.length data)
+  blit_in t ~pos:(block * t.geometry.block_size) data ~off:0 ~len:(Bytes.length data)
 
 let release_held t =
   let ready = t.held in
@@ -134,13 +174,14 @@ let apply_write t ~block data =
         let len = Bytes.length data in
         let keep = r mod (len / 4) * 4 in
         if keep > 0 then
-          Bytes.blit data 0 t.store (block * t.geometry.block_size) keep
+          blit_in t ~pos:(block * t.geometry.block_size) data ~off:0 ~len:keep
     | Wf_bit_rot r ->
         land_write t ~block data;
         let bit = r mod (Bytes.length data * 8) in
         let off = (block * t.geometry.block_size) + (bit / 8) in
-        let v = Char.code (Bytes.get t.store off) lxor (1 lsl (bit mod 8)) in
-        Bytes.set t.store off (Char.chr v)
+        let b = sub t ~pos:off ~len:1 in
+        Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor (1 lsl (bit mod 8))));
+        blit_in t ~pos:off b ~off:0 ~len:1
     | Wf_reorder n ->
         t.held <-
           t.held @ [ { h_ttl = max 1 n; h_block = block; h_data = Bytes.copy data } ]);
@@ -168,15 +209,11 @@ and complete t req =
     t.pending_completion <- Some k;
     Irq.raise_line t.irq t.line;
     t.busy <- false;
-    match List.rev t.queue with
-    | [] -> ()
-    | next :: rest ->
-        t.queue <- List.rev rest;
-        start t next
+    match Queue.take_opt t.queue with None -> () | Some next -> start t next
   in
   match req with
   | Read { block; count; k } ->
-      let data = Bytes.sub t.store (block * bs) (count * bs) in
+      let data = sub t ~pos:(block * bs) ~len:(count * bs) in
       finish (fun () -> k data)
   | Write { block; data; k } ->
       apply_write t ~block data;
@@ -186,7 +223,7 @@ and complete t req =
       finish k
 
 let submit t req =
-  if t.busy then t.queue <- req :: t.queue else start t req
+  if t.busy then Queue.add req t.queue else start t req
 
 let read t ~block ~count k =
   check t ~block ~count;
@@ -200,7 +237,7 @@ let write t ~block data k =
   submit t (Write { block; data; k })
 
 let barrier t k =
-  if t.busy || t.queue <> [] then submit t (Barrier { k })
+  if t.busy || not (Queue.is_empty t.queue) then submit t (Barrier { k })
   else begin
     (* idle disk: the flush has nothing to wait for *)
     release_held t;
@@ -209,15 +246,14 @@ let barrier t k =
 
 let read_now t ~block ~count =
   check t ~block ~count;
-  Bytes.sub t.store (block * t.geometry.block_size)
-    (count * t.geometry.block_size)
+  sub t ~pos:(block * t.geometry.block_size) ~len:(count * t.geometry.block_size)
 
 let write_now t ~block data =
   let bs = t.geometry.block_size in
   if Bytes.length data = 0 || Bytes.length data mod bs <> 0 then
     invalid_arg "Disk.write_now: data must be a whole number of blocks";
   check t ~block ~count:(Bytes.length data / bs);
-  if t.powered then Bytes.blit data 0 t.store (block * bs) (Bytes.length data)
+  if t.powered then blit_in t ~pos:(block * bs) data ~off:0 ~len:(Bytes.length data)
 
 let set_write_interceptor t f = t.interceptor <- f
 
@@ -229,4 +265,4 @@ let power_restore t = t.powered <- true
 let powered_on t = t.powered
 let writes_applied t = t.writes_applied
 let requests_served t = t.served
-let busy t = t.busy || t.queue <> []
+let busy t = t.busy || not (Queue.is_empty t.queue)

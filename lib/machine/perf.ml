@@ -1,6 +1,11 @@
+(* The float accumulators live in their own all-float record, which OCaml
+   stores unboxed: adding to a float field of a mixed record allocates a
+   fresh box on every charge. *)
+type clocks = { mutable cycles : float; mutable bus_stall_cycles : float }
+
 type t = {
   mutable instructions : int;
-  mutable cycles : float;
+  clocks : clocks;
   mutable bus_cycles : int;
   mutable icache_hits : int;
   mutable icache_misses : int;
@@ -13,7 +18,6 @@ type t = {
   (* SMP counters: kept outside [snapshot] (like [tlb_shootdowns]) so
      single-CPU windowed measurements stay byte-identical to pre-SMP. *)
   mutable coherence_misses : int;
-  mutable bus_stall_cycles : float;
   mutable ipis_sent : int;
   mutable ipis_received : int;
 }
@@ -34,7 +38,7 @@ type snapshot = {
 let create () : t =
   {
     instructions = 0;
-    cycles = 0.;
+    clocks = { cycles = 0.; bus_stall_cycles = 0. };
     bus_cycles = 0;
     icache_hits = 0;
     icache_misses = 0;
@@ -45,7 +49,6 @@ let create () : t =
     tlb_shootdowns = 0;
     interrupts = 0;
     coherence_misses = 0;
-    bus_stall_cycles = 0.;
     ipis_sent = 0;
     ipis_received = 0;
   }
@@ -65,7 +68,16 @@ let zero =
   }
 
 let add_instructions (t : t) n = t.instructions <- t.instructions + n
-let add_cycles (t : t) c = t.cycles <- t.cycles +. c
+let add_cycles (t : t) c = t.clocks.cycles <- t.clocks.cycles +. c
+
+(* Float-free entry points for the CPU's per-line path: a float argument
+   to a call the compiler does not inline is boxed.  Each adds exactly the
+   value [add_cycles] would be passed. *)
+let add_cycles_int (t : t) n = t.clocks.cycles <- t.clocks.cycles +. float_of_int n
+
+let add_cycles_scaled (t : t) n k =
+  t.clocks.cycles <- t.clocks.cycles +. (float_of_int n *. k)
+
 let add_bus_cycles (t : t) n = t.bus_cycles <- t.bus_cycles + n
 
 let icache_access (t : t) ~hit =
@@ -87,8 +99,10 @@ let tlb_shootdowns (t : t) = t.tlb_shootdowns
 let coherence_miss (t : t) = t.coherence_misses <- t.coherence_misses + 1
 let coherence_misses (t : t) = t.coherence_misses
 
-let bus_stall (t : t) cycles = t.bus_stall_cycles <- t.bus_stall_cycles +. cycles
-let bus_stall_cycles (t : t) = int_of_float (Float.round t.bus_stall_cycles)
+let bus_stall (t : t) cycles =
+  t.clocks.bus_stall_cycles <- t.clocks.bus_stall_cycles +. float_of_int cycles
+
+let bus_stall_cycles (t : t) = int_of_float (Float.round t.clocks.bus_stall_cycles)
 
 let ipi_sent (t : t) = t.ipis_sent <- t.ipis_sent + 1
 let ipis_sent (t : t) = t.ipis_sent
@@ -102,7 +116,7 @@ let interrupt (t : t) = t.interrupts <- t.interrupts + 1
 let snapshot (t : t) : snapshot =
   {
     instructions = t.instructions;
-    cycles = int_of_float (Float.round t.cycles);
+    cycles = int_of_float (Float.round t.clocks.cycles);
     bus_cycles = t.bus_cycles;
     icache_hits = t.icache_hits;
     icache_misses = t.icache_misses;
@@ -131,8 +145,8 @@ let cpi s =
   if s.instructions = 0 then nan
   else float_of_int s.cycles /. float_of_int s.instructions
 
-let cycles (t : t) = int_of_float (Float.round t.cycles)
-let cycles_exact (t : t) = t.cycles
+let cycles (t : t) = int_of_float (Float.round t.clocks.cycles)
+let cycles_exact (t : t) = t.clocks.cycles
 
 let pp ppf s =
   Format.fprintf ppf

@@ -29,6 +29,15 @@ val zero : snapshot
 
 val add_instructions : t -> int -> unit
 val add_cycles : t -> float -> unit
+
+val add_cycles_int : t -> int -> unit
+(** [add_cycles_int t n] is [add_cycles t (float_of_int n)] without the
+    boxed float argument. *)
+
+val add_cycles_scaled : t -> int -> float -> unit
+(** [add_cycles_scaled t n k] is [add_cycles t (float_of_int n *. k)]
+    without building the product as a boxed argument. *)
+
 val add_bus_cycles : t -> int -> unit
 val icache_access : t -> hit:bool -> unit
 val dcache_access : t -> hit:bool -> unit
@@ -52,7 +61,7 @@ val tlb_shootdowns : t -> int
 val coherence_miss : t -> unit
 val coherence_misses : t -> int
 
-val bus_stall : t -> float -> unit
+val bus_stall : t -> int -> unit
 (** Cycles this CPU spent waiting for the shared bus (the cycles also
     land in the ordinary cycle clock via the CPU's charge path). *)
 

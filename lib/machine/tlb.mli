@@ -8,10 +8,15 @@
 type t
 
 val create : entries:int -> page_size:int -> t
+(** @raise Invalid_argument unless [page_size] is a power of two. *)
 
 val access : t -> int -> bool
 (** [access t vaddr] is [true] when the page holding [vaddr] is resident;
-    on miss the translation is installed (evicting LRU). *)
+    on miss the translation is installed, evicting the least recently
+    used entry (the lowest index on ties; {!invalidate} and {!flush} do
+    not make an entry more recently used).
+    @raise Invalid_argument when [vaddr] is negative, here and in
+    {!invalidate}. *)
 
 val invalidate : t -> int -> unit
 (** [invalidate t vaddr] drops the translation for the page holding

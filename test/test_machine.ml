@@ -177,6 +177,273 @@ let test_perf_diff () =
   Alcotest.(check int) "cycle delta" 10 d.Perf.cycles;
   Alcotest.(check (float 0.01)) "cpi" 2.0 (Perf.cpi d)
 
+(* Warm fetch+load+store triples, round-robin over the CPUs of an
+   [ncpus]-CPU pentium_133, over 2 KB of code and data that every cache
+   and TLB holds.  After one warm-up pass, runs [triples] more and
+   returns the minor words and the words allocated directly in the major
+   heap meanwhile, and the furthest CPU clock. *)
+let fetch_load_store_alloc ~ncpus ~triples =
+  let config = { Config.pentium_133 with Config.ncpus } in
+  let bus = Bus.create ~ncpus in
+  let cpus = Array.init ncpus (fun id -> Cpu.create ~id ~bus config) in
+  let layout = Layout.create config in
+  let code = Layout.alloc layout ~name:"code" ~kind:Layout.Code ~size:4096 in
+  let data = Layout.alloc layout ~name:"data" ~kind:Layout.Data ~size:4096 in
+  let run n =
+    for i = 0 to n - 1 do
+      let cpu = cpus.(i mod ncpus) and off = i * 64 mod 2048 in
+      Cpu.fetch cpu code ~offset:off ~bytes:64;
+      Cpu.load cpu ~addr:(data.Layout.base + off) ~bytes:32;
+      Cpu.store cpu ~addr:(data.Layout.base + off) ~bytes:32
+    done
+  in
+  run 1024;
+  let _, _, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  run triples;
+  let minor = Gc.minor_words () -. minor0 in
+  let _, _, major1 = Gc.counters () in
+  let clock = Array.fold_left (fun m c -> Float.max m (Cpu.now_exact c)) 0. cpus in
+  (minor, major1 -. major0, clock)
+
+let test_warm_path_allocation () =
+  let minor, major, _ = fetch_load_store_alloc ~ncpus:1 ~triples:100_000 in
+  Alcotest.(check (float 0.)) "1 CPU: no minor words" 0. minor;
+  Alcotest.(check (float 0.)) "1 CPU: no major words" 0. major;
+  (* On two CPUs the bus books demand per capacity window and tracks the
+     64 data lines in its directory.  Only growing those tables may
+     allocate: at most 32 words per entry, amortized. *)
+  let minor, major, clock = fetch_load_store_alloc ~ncpus:2 ~triples:200_000 in
+  let entries = 64 + int_of_float (clock /. Bus.window) + 1 in
+  Alcotest.(check (float 0.)) "2 CPUs: no minor words" 0. minor;
+  Alcotest.(check bool)
+    (Printf.sprintf "2 CPUs: %.0f major words for %d table entries" major entries)
+    true
+    (major <= float_of_int (32 * entries))
+
+(* --- differential tests: the O(1) models against linear-scan references --- *)
+(* The references are the plain models the hot path replaced: a closure
+   scan over each set's ways, a scan over every TLB entry, and
+   polymorphic hashtables with float demand on the bus.  Random sequences
+   must give the same answer op for op. *)
+
+module Ref_cache = struct
+  type t = { line : int; sets : int; tags : int array array; stamps : int array array;
+             mutable tick : int }
+
+  let create (g : Config.cache_geometry) =
+    let sets = g.size / (g.line * g.assoc) in
+    { line = g.line; sets; tags = Array.init sets (fun _ -> Array.make g.assoc (-1));
+      stamps = Array.init sets (fun _ -> Array.make g.assoc 0); tick = 0 }
+
+  let access t addr =
+    let line_addr = addr / t.line in
+    let set = line_addr mod t.sets and tag = line_addr / t.sets in
+    t.tick <- t.tick + 1;
+    let tags = t.tags.(set) and stamps = t.stamps.(set) in
+    let rec find i = if i >= Array.length tags then -1 else if tags.(i) = tag then i else find (i + 1) in
+    let way = find 0 in
+    if way >= 0 then (stamps.(way) <- t.tick; true)
+    else begin
+      let best = ref 0 in
+      for i = 1 to Array.length tags - 1 do
+        if stamps.(i) < stamps.(!best) then best := i
+      done;
+      tags.(!best) <- tag;
+      stamps.(!best) <- t.tick;
+      false
+    end
+
+  let probe t addr =
+    let line_addr = addr / t.line in
+    Array.mem (line_addr / t.sets) t.tags.(line_addr mod t.sets)
+
+  let flush t = Array.iter (fun w -> Array.fill w 0 (Array.length w) (-1)) t.tags
+
+  let resident t =
+    Array.fold_left (Array.fold_left (fun a tag -> if tag >= 0 then a + 1 else a)) 0 t.tags
+end
+
+module Ref_tlb = struct
+  type t = { page_size : int; pages : int array; stamps : int array; mutable tick : int }
+
+  let create ~entries ~page_size =
+    { page_size; pages = Array.make entries (-1); stamps = Array.make entries 0; tick = 0 }
+
+  let access t vaddr =
+    let page = vaddr / t.page_size in
+    t.tick <- t.tick + 1;
+    let n = Array.length t.pages in
+    let rec find i = if i >= n then None else if t.pages.(i) = page then Some i else find (i + 1) in
+    match find 0 with
+    | Some i -> t.stamps.(i) <- t.tick; true
+    | None ->
+        let victim = ref 0 in
+        for i = 1 to n - 1 do
+          if t.stamps.(i) < t.stamps.(!victim) then victim := i
+        done;
+        t.pages.(!victim) <- page;
+        t.stamps.(!victim) <- t.tick;
+        false
+
+  let invalidate t vaddr =
+    let page = vaddr / t.page_size in
+    Array.iteri (fun i p -> if p = page then t.pages.(i) <- -1) t.pages
+
+  let flush t = Array.fill t.pages 0 (Array.length t.pages) (-1)
+  let resident t = Array.fold_left (fun a p -> if p >= 0 then a + 1 else a) 0 t.pages
+end
+
+module Ref_bus = struct
+  type t = { occupied : (int, float) Hashtbl.t; writers : (int, int) Hashtbl.t }
+
+  let create () = { occupied = Hashtbl.create 16; writers = Hashtbl.create 16 }
+
+  let acquire t ~now ~bus_cycles =
+    let w = int_of_float (now /. Bus.window) in
+    let before = Option.value ~default:0. (Hashtbl.find_opt t.occupied w) in
+    let c = float_of_int bus_cycles in
+    Hashtbl.replace t.occupied w (before +. c);
+    Float.max 0. (before +. c -. Bus.window) -. Float.max 0. (before -. Bus.window)
+
+  let note_access t ~cpu ~line ~write =
+    let miss = match Hashtbl.find_opt t.writers line with Some w -> w <> cpu | None -> false in
+    if write then Hashtbl.replace t.writers line cpu
+    else if miss then Hashtbl.remove t.writers line;
+    miss
+end
+
+type mem_op = Access of int | Invalidate of int | Flush
+
+(* Addresses crowd a few sets and pages so that hits, conflict misses
+   and LRU evictions all happen, with now and then a far address. *)
+let mem_ops_gen page =
+  let open QCheck.Gen in
+  let addr =
+    frequency
+      [ (8, map2 (fun p lo -> (p * 4096) + (lo * 32)) page (int_bound 7));
+        (1, int_bound 0xffffff) ]
+  in
+  list_size (int_range 1 3000)
+    (frequency
+       [ (30, map (fun a -> Access a) addr); (2, map (fun a -> Invalidate a) addr);
+         (1, return Flush) ])
+
+let same_cache_as_reference name (g : Config.cache_geometry) =
+  QCheck.Test.make ~name ~count:60 (QCheck.make (mem_ops_gen (QCheck.Gen.int_bound 6))) (fun ops ->
+      let c = Cache.create g and r = Ref_cache.create g in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Access a -> Cache.access c a = Ref_cache.access r a
+          | Invalidate a -> Cache.probe c a = Ref_cache.probe r a
+          | Flush -> Cache.flush c; Ref_cache.flush r; true)
+          && Cache.resident c = Ref_cache.resident r)
+        ops)
+
+let same_tlb_as_reference name ~entries =
+  (* four candidate pages per slot, four per bucket of the page index
+     (it has 4 x entries buckets), so buckets crowd and hints go stale *)
+  let page =
+    QCheck.Gen.(map2 (fun b k -> b + (k * 4 * entries)) (int_bound (entries - 1)) (int_bound 3))
+  in
+  QCheck.Test.make ~name ~count:60 (QCheck.make (mem_ops_gen page))
+    (fun ops ->
+      let t = Tlb.create ~entries ~page_size:4096 and r = Ref_tlb.create ~entries ~page_size:4096 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Access a -> Tlb.access t a = Ref_tlb.access r a
+          | Invalidate a -> Tlb.invalidate t a; Ref_tlb.invalidate r a; true
+          | Flush -> Tlb.flush t; Ref_tlb.flush r; true)
+          && Tlb.resident t = Ref_tlb.resident r)
+        ops)
+
+let same_bus_as_reference =
+  let op =
+    QCheck.Gen.(
+      pair bool
+        (quad (int_bound 3) (int_bound 63) bool (pair (int_bound 400_000) (int_bound 40))))
+  in
+  QCheck.Test.make ~name:"bus: directory and windows match the hashtable model" ~count:60
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 3000) op))
+    (fun ops ->
+      let b = Bus.create ~ncpus:4 and r = Ref_bus.create () in
+      List.for_all
+        (fun (is_access, (cpu, line, write, (now, n))) ->
+          if is_access then
+            Bus.note_access b ~cpu ~line:(line * 32) ~write
+            = Ref_bus.note_access r ~cpu ~line:(line * 32) ~write
+          else
+            (* half-cycle clocks, as the 0.5-cycle store penalty leaves them *)
+            let now = float_of_int now /. 2. in
+            let window_index = int_of_float (now /. Bus.window) in
+            float_of_int (Bus.acquire b ~window_index ~bus_cycles:(n * 40))
+            = Ref_bus.acquire r ~now ~bus_cycles:(n * 40))
+        ops)
+
+(* The disk keeps its image in chunks allocated on first non-zero
+   write; every read must see what a flat image would hold, through
+   synchronous writes, queued writes and the torn and bit-rot faults. *)
+type disk_op =
+  | Write_now of int * int * char
+  | Write of int * int * char * Disk.write_fault
+  | Read_now of int * int
+
+let sparse_disk_matches_flat_image =
+  let g = { Disk.default_geometry with Disk.blocks = 512; block_size = 512 } in
+  let op =
+    let open QCheck.Gen in
+    (* chunks hold 128 blocks: straddle their edges often *)
+    let block = oneof [ int_bound 511; map (fun c -> (c * 128) - 1) (int_range 1 3) ] in
+    let extent = map2 (fun b n -> (min b 510, min n (512 - min b 510))) block (int_range 1 3) in
+    let fill = oneof [ return '\000'; map Char.chr (int_range 1 255) ] in
+    let fault =
+      frequency
+        [ (3, return Disk.Wf_pass); (1, map (fun r -> Disk.Wf_torn r) (int_bound 10_000));
+          (1, map (fun r -> Disk.Wf_bit_rot r) (int_bound 10_000)) ]
+    in
+    frequency
+      [ (3, map2 (fun (b, n) c -> Write_now (b, n, c)) extent fill);
+        (3, map3 (fun (b, n) c f -> Write (b, n, c, f)) extent fill fault);
+        (2, map (fun (b, n) -> Read_now (b, n)) extent) ]
+  in
+  QCheck.Test.make ~name:"disk: sparse image reads as a flat one" ~count:40
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 60) op))
+    (fun ops ->
+      let m = create ~disk_geometry:g Config.pentium_133 in
+      let flat = Bytes.make (g.Disk.blocks * 512) '\000' in
+      let next_fault = ref Disk.Wf_pass in
+      Disk.set_write_interceptor m.disk (Some (fun ~block:_ ~data:_ -> !next_fault));
+      List.for_all
+        (function
+          | Write_now (b, n, c) ->
+              Disk.write_now m.disk ~block:b (Bytes.make (n * 512) c);
+              Bytes.fill flat (b * 512) (n * 512) c;
+              true
+          | Write (b, n, c, f) ->
+              next_fault := f;
+              Disk.write m.disk ~block:b (Bytes.make (n * 512) c) (fun () -> ());
+              while Machine.advance_to_next_event m do () done;
+              let len = n * 512 in
+              (match f with
+              | Disk.Wf_torn r -> Bytes.fill flat (b * 512) (r mod (len / 4) * 4) c
+              | Disk.Wf_bit_rot r ->
+                  Bytes.fill flat (b * 512) len c;
+                  let bit = r mod (len * 8) in
+                  let off = (b * 512) + (bit / 8) in
+                  Bytes.set flat off
+                    (Char.chr (Char.code (Bytes.get flat off) lxor (1 lsl (bit mod 8))))
+              | _ -> Bytes.fill flat (b * 512) len c);
+              true
+          | Read_now (b, n) ->
+              Bytes.equal (Disk.read_now m.disk ~block:b ~count:n)
+                (Bytes.sub flat (b * 512) (n * 512)))
+        ops
+      && Bytes.equal (Disk.read_now m.disk ~block:0 ~count:g.Disk.blocks) flat)
+
+let qtest = QCheck_alcotest.to_alcotest
+
 let suite =
   [
     Alcotest.test_case "cache hit/miss" `Quick test_cache_hit_miss;
@@ -196,4 +463,15 @@ let suite =
     Alcotest.test_case "framebuffer" `Quick test_framebuffer;
     Alcotest.test_case "irq spurious" `Quick test_irq_spurious;
     Alcotest.test_case "perf diff" `Quick test_perf_diff;
+    Alcotest.test_case "warm path allocation" `Quick test_warm_path_allocation;
+    qtest (same_cache_as_reference "cache: pentium_133 I/D geometry matches the scan model"
+             Config.pentium_133.Config.dcache);
+    qtest (same_cache_as_reference "cache: ppc604_133 I/D geometry matches the scan model"
+             Config.ppc604_133.Config.dcache);
+    qtest (same_tlb_as_reference "tlb: 64 entries match the scan model"
+             ~entries:Config.pentium_133.Config.tlb_entries);
+    qtest (same_tlb_as_reference "tlb: 128 entries match the scan model"
+             ~entries:Config.ppc604_133.Config.tlb_entries);
+    qtest same_bus_as_reference;
+    qtest sparse_disk_matches_flat_image;
   ]
