@@ -95,9 +95,9 @@ let check t ~block ~count =
 let request_cycles t count =
   t.geometry.seek_cycles + (count * t.geometry.transfer_cycles_per_block)
 
-let blocks_of_request = function
+let blocks_of_request t = function
   | Read { count; _ } -> count
-  | Write { data; _ } -> Bytes.length data
+  | Write { data; _ } -> Bytes.length data / t.geometry.block_size
   | Barrier _ -> 0
 
 (* --- the media image ----------------------------------------------------- *)
@@ -190,13 +190,7 @@ let apply_write t ~block data =
 
 let rec start t req =
   t.busy <- true;
-  let count =
-    match req with
-    | Read { count; _ } -> count
-    | Write { data; _ } -> Bytes.length data / t.geometry.block_size
-    | Barrier _ -> 0
-  in
-  let done_at = Cpu.now t.cpu + request_cycles t count in
+  let done_at = Cpu.now t.cpu + request_cycles t (blocks_of_request t req) in
   Event_queue.schedule t.events ~at:done_at (fun () -> complete t req)
 
 and complete t req =
@@ -204,7 +198,7 @@ and complete t req =
   let finish k =
     t.served <- t.served + 1;
     (* DMA moved [blocks] of data across the bus during the transfer *)
-    let words = blocks_of_request req * bs / 4 in
+    let words = blocks_of_request t req * bs / 4 in
     Perf.add_bus_cycles (Cpu.perf t.cpu) (words / 8);
     t.pending_completion <- Some k;
     Irq.raise_line t.irq t.line;

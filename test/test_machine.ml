@@ -138,6 +138,23 @@ let test_disk_fifo_queue () =
   while Machine.advance_to_next_event m do () done;
   Alcotest.(check (list int)) "FIFO order" [ 3; 2; 1 ] !order
 
+(* DMA moves block_size / 4 words per block, 8 words per bus cycle: a
+   one-block transfer books the same bus cycles in either direction. *)
+let test_disk_dma_bus_cycles () =
+  let m = create Config.pentium_133 in
+  let bus_cycles_of f =
+    let before = (Perf.snapshot (Cpu.perf m.cpu)).Perf.bus_cycles in
+    f ();
+    while Machine.advance_to_next_event m do () done;
+    (Perf.snapshot (Cpu.perf m.cpu)).Perf.bus_cycles - before
+  in
+  let read = bus_cycles_of (fun () -> Disk.read m.disk ~block:3 ~count:1 ignore) in
+  let write =
+    bus_cycles_of (fun () -> Disk.write m.disk ~block:3 (Bytes.make 512 'w') ignore)
+  in
+  Alcotest.(check int) "one-block read" (512 / 4 / 8) read;
+  Alcotest.(check int) "one-block write = read" read write
+
 let test_disk_bounds () =
   let m = create Config.pentium_133 in
   Alcotest.check_raises "out of range" (Invalid_argument "range")
@@ -460,6 +477,7 @@ let suite =
     Alcotest.test_case "disk latency+irq" `Quick test_disk_latency_and_interrupts;
     Alcotest.test_case "disk FIFO" `Quick test_disk_fifo_queue;
     Alcotest.test_case "disk bounds" `Quick test_disk_bounds;
+    Alcotest.test_case "disk DMA bus cycles" `Quick test_disk_dma_bus_cycles;
     Alcotest.test_case "framebuffer" `Quick test_framebuffer;
     Alcotest.test_case "irq spurious" `Quick test_irq_spurious;
     Alcotest.test_case "perf diff" `Quick test_perf_diff;
