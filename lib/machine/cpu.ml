@@ -45,7 +45,7 @@ let now_exact t = t.clock.time
    rate rather than their float product keeps the float unboxed, since a
    computed float argument to a call across modules is boxed. *)
 let charge t cycles =
-  Perf.add_cycles_int t.perf cycles;
+  Perf.add_cycles t.perf cycles;
   t.clock.time <- t.clock.time +. float_of_int cycles
 
 let charge_scaled t n k =
@@ -65,7 +65,7 @@ let charge_bus_smp t n =
   if stall > 0 then begin
     Perf.bus_stall t.perf stall;
     t.clock.time <- t.clock.time +. float_of_int stall;
-    Perf.add_cycles_int t.perf stall
+    Perf.add_cycles t.perf stall
   end
 
 (* Walk the lines of [addr..addr+bytes), consulting [cache]; each miss

@@ -68,12 +68,9 @@ let zero =
   }
 
 let add_instructions (t : t) n = t.instructions <- t.instructions + n
-let add_cycles (t : t) c = t.clocks.cycles <- t.clocks.cycles +. c
-
-(* Float-free entry points for the CPU's per-line path: a float argument
-   to a call the compiler does not inline is boxed.  Each adds exactly the
-   value [add_cycles] would be passed. *)
-let add_cycles_int (t : t) n = t.clocks.cycles <- t.clocks.cycles +. float_of_int n
+(* No float crosses these calls: a float argument to a call the compiler
+   does not inline is boxed, and the CPU calls them per line touched. *)
+let add_cycles (t : t) n = t.clocks.cycles <- t.clocks.cycles +. float_of_int n
 
 let add_cycles_scaled (t : t) n k =
   t.clocks.cycles <- t.clocks.cycles +. (float_of_int n *. k)

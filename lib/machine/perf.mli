@@ -28,15 +28,12 @@ val zero : snapshot
 (* Incrementers used by the CPU model. *)
 
 val add_instructions : t -> int -> unit
-val add_cycles : t -> float -> unit
-
-val add_cycles_int : t -> int -> unit
-(** [add_cycles_int t n] is [add_cycles t (float_of_int n)] without the
-    boxed float argument. *)
+val add_cycles : t -> int -> unit
 
 val add_cycles_scaled : t -> int -> float -> unit
-(** [add_cycles_scaled t n k] is [add_cycles t (float_of_int n *. k)]
-    without building the product as a boxed argument. *)
+(** [add_cycles_scaled t n k] adds [float_of_int n *. k] cycles (an
+    instruction count times the CPI, say) without building the product
+    as a boxed argument. *)
 
 val add_bus_cycles : t -> int -> unit
 val icache_access : t -> hit:bool -> unit

@@ -185,10 +185,10 @@ let test_irq_spurious () =
 let test_perf_diff () =
   let p = Perf.create () in
   Perf.add_instructions p 10;
-  Perf.add_cycles p 25.0;
+  Perf.add_cycles p 25;
   let s1 = Perf.snapshot p in
   Perf.add_instructions p 5;
-  Perf.add_cycles p 10.0;
+  Perf.add_cycles p 10;
   let d = Perf.diff (Perf.snapshot p) s1 in
   Alcotest.(check int) "inst delta" 5 d.Perf.instructions;
   Alcotest.(check int) "cycle delta" 10 d.Perf.cycles;
