@@ -490,7 +490,7 @@ let bench_ab ~a ~b ~threshold =
 let machine_fetch_load_store ~ncpus:n =
   let open Machine in
   let config = { Config.pentium_133 with Config.ncpus = n } in
-  let bus = Bus.create ~ncpus:n in
+  let bus = Bus.create ~ncpus:n config in
   let cpus = Array.init n (fun id -> Cpu.create ~id ~bus config) in
   let layout = Layout.create config in
   let code = Layout.alloc layout ~name:"code" ~kind:Layout.Code ~size:4096 in
@@ -502,6 +502,23 @@ let machine_fetch_load_store ~ncpus:n =
       Cpu.fetch cpu code ~offset:off ~bytes:64;
       Cpu.load cpu ~addr:(data.Layout.base + off) ~bytes:32;
       Cpu.store cpu ~addr:(data.Layout.base + off) ~bytes:32
+    done
+
+(* The TLB's side of an address-space switch on a uniprocessor
+   pentium_133: the switch flushes it, then one load per page touches as
+   many pages as it holds, each a miss that picks the LRU victim and
+   installs the translation. *)
+let machine_tlb_switch () =
+  let open Machine in
+  let config = Config.pentium_133 in
+  let cpu = Cpu.create config in
+  let layout = Layout.create config in
+  let pages = config.Config.tlb_entries and page = config.Config.page_size in
+  let data = Layout.alloc layout ~name:"data" ~kind:Layout.Data ~size:(pages * page) in
+  fun () ->
+    Cpu.execute_item cpu Footprint.Switch_address_space;
+    for p = 0 to pages - 1 do
+      Cpu.load cpu ~addr:(data.Layout.base + (p * page)) ~bytes:4
     done
 
 (* host-time measurements of the experiment cores, one Bechamel test per
@@ -524,6 +541,7 @@ let bechamel () =
             ignore (Workloads.Table1.run (fresh_native_api ()) spec));
         quick "machine:fetch-load-store:1cpu" (machine_fetch_load_store ~ncpus:1);
         quick "machine:fetch-load-store:4cpu" (machine_fetch_load_store ~ncpus:4);
+        quick "machine:tlb-switch:1cpu" (machine_tlb_switch ());
       ]
   in
   let ols =

@@ -773,13 +773,16 @@ let mount cache cfg ?(start = 0) () =
     let g = geom_of cfg ~start ~blocks ~inodes in
     let journal =
       if cfg.cfg_journalled && g.journal_blocks > 0 then begin
+        (* resolved once here, not per journal record: the lookup hashes
+           the disk name and searches the ephemeron table *)
+        let writes = journal_counter cache in
         (* attaching runs recovery: committed-but-unapplied transactions
            from a previous incarnation replay into the cache before the
            first operation can observe the volume *)
         let j, rv =
           Journal.attach (Block_cache.kernel cache) (Block_cache.disk cache)
             ~start:(start + g.journal_start) ~blocks:g.journal_blocks
-            ~note_write:(fun () -> incr (journal_counter cache))
+            ~note_write:(fun () -> incr writes)
             ~home_write:(fun b d -> Block_cache.write cache b d)
             ~flush_home:(fun () -> Block_cache.flush_wait cache)
         in

@@ -1,5 +1,5 @@
 (* Machlint driver: scan directories, parse every .ml with
-   compiler-libs, build the call graph once, run the five rules.
+   compiler-libs, build the call graph once, run the six rules.
 
    The rules and their dynamic Machcheck counterparts:
 
@@ -13,7 +13,11 @@
                      complete (no dynamic counterpart — this is the gap
                      machlint exists to close)
      provenance      BENCH_*.json writers carry schema_version+Run_meta
-                     (enforced dynamically by bench ab; here at build) *)
+                     (enforced dynamically by bench ab; here at build)
+     hot-path        no polymorphic compare/min/max in the machine model
+                     or in [@machlint.hot] bindings (no dynamic
+                     counterpart: the cost is host time, not a wrong
+                     answer) *)
 
 module Report = Lint_report
 module Ast = Lint_ast
@@ -107,6 +111,7 @@ let run ~roots () =
     @ Lint_noblock.check g
     @ Lint_interface.check sources g
     @ Lint_provenance.check g
+    @ Lint_hotpath.check sources g
   in
   let spans = allow_spans g in
   let findings = List.filter (fun f -> not (allowed spans f)) findings in

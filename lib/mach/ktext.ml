@@ -353,7 +353,7 @@ let rec run_stores t cpu frame = function
       Machine.Cpu.store cpu ~addr:(resolve t cpu ~frame loc) ~bytes;
       run_stores t cpu frame rest
 
-let exec_chunk t ~frame c =
+let[@machlint.hot] exec_chunk t ~frame c =
   let cpu = t.machine.Machine.cpu in
   Machine.Cpu.fetch cpu (region_of t c.ck_region) ~offset:c.ck_offset
     ~bytes:c.ck_bytes;
@@ -373,13 +373,13 @@ let exec_n t ?frame n c =
     exec_chunk t ~frame c
   done
 
-let copy t ~src ~dst ~bytes =
+let[@machlint.hot] copy t ~src ~dst ~bytes =
   if bytes > 0 then begin
     let cpu = t.machine.Machine.cpu in
     let lines = (bytes + 31) / 32 in
     for i = 0 to lines - 1 do
       let off = i * 32 in
-      let n = min 32 (bytes - off) in
+      let n = Int.min 32 (bytes - off) in
       Machine.Cpu.fetch cpu t.text ~offset:c_copy_loop.ck_offset
         ~bytes:c_copy_loop.ck_bytes;
       Machine.Cpu.load cpu ~addr:(src + off) ~bytes:n;

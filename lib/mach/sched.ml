@@ -441,7 +441,7 @@ let steal_from pc =
    Elevated priorities exist for protocol threads (netisrs): a server's
    drain loop must not sit behind the user thread that just woke on the
    same CPU, or rings back up behind the co-located producer. *)
-let rec pop_runnable q =
+let[@machlint.hot] rec pop_runnable q =
   match Queue.take_opt q with
   | None -> None
   | Some th -> (
@@ -480,7 +480,7 @@ let rec pop_runnable q =
    Before choosing, every CPU drains its message queue; an idle CPU
    strictly behind the choice steals the newest unbound thread from the
    most loaded run queue (>= 2 waiting) and dispatches it itself. *)
-let rec select t =
+let[@machlint.hot] rec select t =
   let n = Array.length t.percpu in
   for i = 0 to n - 1 do
     drain_ipiq t i

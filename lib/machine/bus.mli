@@ -13,8 +13,11 @@
 
 type t
 
-val create : ncpus:int -> t
-(** @raise Invalid_argument when [ncpus < 1]. *)
+val create : ncpus:int -> Config.t -> t
+(** [create ~ncpus c] is the bus of an [ncpus]-CPU machine whose
+    coherence lines are [c]'s D-cache lines.
+    @raise Invalid_argument when [ncpus] is not in 1..255 or the line
+    size is not a power of two up to 4 KB. *)
 
 val ncpus : t -> int
 

@@ -6,6 +6,7 @@ type t = {
   config : Config.t;
   id : int;  (* processor index within the machine, 0 = boot CPU *)
   bus : Bus.t;  (* shared with every sibling CPU; inert when alone *)
+  smp : bool;  (* the bus has siblings: coherence and arbitration apply *)
   perf : Perf.t;
   icache : Cache.t;
   dcache : Cache.t;
@@ -14,10 +15,12 @@ type t = {
 }
 
 let create ?(id = 0) ?bus (c : Config.t) =
+  let bus = match bus with Some b -> b | None -> Bus.create ~ncpus:1 c in
   {
     config = c;
     id;
-    bus = (match bus with Some b -> b | None -> Bus.create ~ncpus:1);
+    bus;
+    smp = Bus.ncpus bus > 1;
     perf = Perf.create ();
     icache = Cache.create c.icache;
     dcache = Cache.create c.dcache;
@@ -72,12 +75,17 @@ let charge_bus_smp t n =
    costs a line fill.  TLB is consulted once per page touched.  This is
    the innermost hot path of the whole simulator: it must not allocate.
    The SMP additions (coherence directory, bus arbitration) are guarded
-   so a 1-CPU machine runs the exact pre-SMP sequence. *)
+   so a 1-CPU machine runs the exact pre-SMP sequence.  Hits and misses
+   are counted in locals and handed to Perf once per call: nothing reads
+   those counters in between, and each call into another module costs
+   more than the increment it makes. *)
 let lines_and_pages t cache addr bytes ~is_icache =
   let c = t.config in
-  let smp = Bus.ncpus t.bus > 1 in
+  let smp = t.smp in
   let line = if is_icache then c.icache.line else c.dcache.line in
-  let first_line = addr / line and last_line = (addr + max bytes 1 - 1) / line in
+  let last = addr + Int.max bytes 1 - 1 in
+  let first_line = addr / line and last_line = last / line in
+  let hits = ref 0 and misses = ref 0 in
   for l = first_line to last_line do
     let a = l * line in
     (* Cache.access both probes and installs: after a coherence transfer
@@ -90,23 +98,22 @@ let lines_and_pages t cache addr bytes ~is_icache =
       (* another CPU wrote this line since we last held it: whatever the
          local tag said, the copy is stale.  One cache-to-cache transfer
          replaces the memory line fill. *)
-      Perf.dcache_access t.perf ~hit:false;
+      incr misses;
       Perf.coherence_miss t.perf;
       charge t c.coherence_miss_cycles;
       charge_bus_smp t c.line_fill_bus_cycles
     end
+    else if hit then incr hits
     else begin
-      if is_icache then Perf.icache_access t.perf ~hit
-      else Perf.dcache_access t.perf ~hit;
-      if not hit then begin
-        charge t c.line_fill_cycles;
-        if smp then charge_bus_smp t c.line_fill_bus_cycles
-        else charge_bus t c.line_fill_bus_cycles
-      end
+      incr misses;
+      charge t c.line_fill_cycles;
+      if smp then charge_bus_smp t c.line_fill_bus_cycles
+      else charge_bus t c.line_fill_bus_cycles
     end
   done;
-  let first_page = addr / c.page_size
-  and last_page = (addr + max bytes 1 - 1) / c.page_size in
+  if is_icache then Perf.add_icache t.perf ~hits:!hits ~misses:!misses
+  else Perf.add_dcache t.perf ~hits:!hits ~misses:!misses;
+  let first_page = addr / c.page_size and last_page = last / c.page_size in
   for p = first_page to last_page do
     if not (Tlb.access t.tlb (p * c.page_size)) then begin
       Perf.tlb_miss t.perf;
@@ -127,7 +134,7 @@ let fetch t (region : Layout.region) ~offset ~bytes =
          bytes region.Layout.name region.Layout.size);
   let c = t.config in
   let addr = region.Layout.base + offset in
-  let instructions = max 1 (bytes / c.bytes_per_instruction) in
+  let instructions = Int.max 1 (bytes / c.bytes_per_instruction) in
   Perf.add_instructions t.perf instructions;
   charge_scaled t instructions c.base_cpi;
   lines_and_pages t t.icache addr bytes ~is_icache:true
@@ -138,13 +145,13 @@ let store t ~addr ~bytes =
   lines_and_pages t t.dcache addr bytes ~is_icache:false;
   (* write-through: every stored word is a bus write *)
   let c = t.config in
-  let words = max 1 ((bytes + 3) / 4) in
-  if Bus.ncpus t.bus > 1 then begin
+  let words = Int.max 1 ((bytes + 3) / 4) in
+  if t.smp then begin
     (* take ownership of every written line in the coherence directory;
        sibling CPUs holding these lines will pay a transfer next touch *)
     let line = c.dcache.line in
     let first_line = addr / line
-    and last_line = (addr + max bytes 1 - 1) / line in
+    and last_line = (addr + Int.max bytes 1 - 1) / line in
     for l = first_line to last_line do
       ignore (Bus.note_access t.bus ~cpu:t.id ~line:(l * line) ~write:true : bool)
     done;
@@ -173,11 +180,11 @@ let execute_item t (item : Footprint.item) =
   | Load { addr; bytes } -> load t ~addr ~bytes
   | Store { addr; bytes } -> store t ~addr ~bytes
   | Uncached_read { bytes; _ } ->
-      let words = max 1 ((bytes + 3) / 4) in
+      let words = Int.max 1 ((bytes + 3) / 4) in
       charge_bus t (words * c.write_bus_cycles);
       charge t (words * c.write_bus_cycles)
   | Uncached_write { bytes; _ } ->
-      let words = max 1 ((bytes + 3) / 4) in
+      let words = Int.max 1 ((bytes + 3) / 4) in
       charge_bus t (words * c.write_bus_cycles);
       charge t words
   | Switch_address_space ->

@@ -113,7 +113,7 @@ let blit_in t ~pos data ~off ~len =
   let rec go pos off len =
     if len > 0 then begin
       let c = pos / chunk and o = pos mod chunk in
-      let n = min len (chunk - o) in
+      let n = Int.min len (chunk - o) in
       if Bytes.length t.store.(c) = 0 && not (all_zero data off (off + n)) then
         t.store.(c) <- Bytes.make chunk '\000';
       if Bytes.length t.store.(c) > 0 then Bytes.blit data off t.store.(c) o n;
@@ -127,7 +127,7 @@ let sub t ~pos ~len =
   let rec go p =
     if p < pos + len then begin
       let c = p / chunk and o = p mod chunk in
-      let n = min (pos + len - p) (chunk - o) in
+      let n = Int.min (pos + len - p) (chunk - o) in
       if Bytes.length t.store.(c) > 0 then Bytes.blit t.store.(c) o out (p - pos) n;
       go (p + n)
     end
@@ -184,7 +184,7 @@ let apply_write t ~block data =
         blit_in t ~pos:off b ~off:0 ~len:1
     | Wf_reorder n ->
         t.held <-
-          t.held @ [ { h_ttl = max 1 n; h_block = block; h_data = Bytes.copy data } ]);
+          t.held @ [ { h_ttl = Int.max 1 n; h_block = block; h_data = Bytes.copy data } ]);
     if t.powered then tick_held t
   end
 

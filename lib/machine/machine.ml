@@ -28,7 +28,7 @@ let disk_irq_line = 14
 let timer_irq_line = 0
 
 let create ?(disk_geometry = Disk.default_geometry) config =
-  let bus = Bus.create ~ncpus:config.Config.ncpus in
+  let bus = Bus.create ~ncpus:config.Config.ncpus config in
   let cpus =
     Array.init config.Config.ncpus (fun id -> Cpu.create ~id ~bus config)
   in

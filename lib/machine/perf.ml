@@ -77,13 +77,13 @@ let add_cycles_scaled (t : t) n k =
 
 let add_bus_cycles (t : t) n = t.bus_cycles <- t.bus_cycles + n
 
-let icache_access (t : t) ~hit =
-  if hit then t.icache_hits <- t.icache_hits + 1
-  else t.icache_misses <- t.icache_misses + 1
+let add_icache (t : t) ~hits ~misses =
+  t.icache_hits <- t.icache_hits + hits;
+  t.icache_misses <- t.icache_misses + misses
 
-let dcache_access (t : t) ~hit =
-  if hit then t.dcache_hits <- t.dcache_hits + 1
-  else t.dcache_misses <- t.dcache_misses + 1
+let add_dcache (t : t) ~hits ~misses =
+  t.dcache_hits <- t.dcache_hits + hits;
+  t.dcache_misses <- t.dcache_misses + misses
 
 let tlb_miss (t : t) = t.tlb_misses <- t.tlb_misses + 1
 

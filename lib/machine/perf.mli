@@ -36,8 +36,11 @@ val add_cycles_scaled : t -> int -> float -> unit
     as a boxed argument. *)
 
 val add_bus_cycles : t -> int -> unit
-val icache_access : t -> hit:bool -> unit
-val dcache_access : t -> hit:bool -> unit
+val add_icache : t -> hits:int -> misses:int -> unit
+val add_dcache : t -> hits:int -> misses:int -> unit
+(** Count I-cache (D-cache) line accesses: the CPU tallies one call's
+    lines and adds them at once. *)
+
 val tlb_miss : t -> unit
 val address_space_switch : t -> unit
 

@@ -53,6 +53,7 @@ let pairs =
     ("bad_heartbeat.ml", "clean_heartbeat.ml", Lint.Report.rule_noblock);
     ("bad_interface.ml", "clean_interface.ml", Lint.Report.rule_interface);
     ("bad_provenance.ml", "clean_provenance.ml", Lint.Report.rule_provenance);
+    ("bad_hotpath.ml", "clean_hotpath.ml", Lint.Report.rule_hotpath);
   ]
 
 (* Each bad fixture packs several shapes of its violation (use-after-
@@ -71,6 +72,7 @@ let test_bad_counts () =
       ("bad_heartbeat.ml", 3);
       ("bad_interface.ml", 3);
       ("bad_provenance.ml", 3);
+      ("bad_hotpath.ml", 3);
     ]
 
 (* Findings are deterministic: two runs over the same corpus agree. *)
@@ -113,6 +115,29 @@ let test_fixed_files_stay_clean () =
           "lib/workloads/micro.ml";
         ]
 
+(* Inside lib/machine the hot-path rule needs no annotation: every
+   polymorphic compare/min/max in the machine model is a finding, and
+   the same file anywhere else is clean. *)
+let test_machine_model_is_hot () =
+  let lint_under dirs =
+    let root = Filename.temp_file "machlint_tree" "" in
+    Sys.remove root;
+    let mkdir d = Sys.mkdir d 0o755 in
+    let dirs = List.fold_left (fun acc d -> Filename.concat (List.hd acc) d :: acc) [ root ] dirs in
+    List.iter mkdir (List.rev dirs);
+    let path = Filename.concat (List.hd dirs) "words.ml" in
+    let oc = open_out path in
+    output_string oc "let words bytes = max 1 ((bytes + 3) / 4)\n";
+    close_out oc;
+    let r = Lint.run ~roots:[ path ] () in
+    Sys.remove path;
+    List.iter Sys.rmdir dirs;
+    rules_of r.Lint.r_findings
+  in
+  Alcotest.(check (list string)) "lib/machine: flagged"
+    [ Lint.Report.rule_hotpath ] (lint_under [ "lib"; "machine" ]);
+  Alcotest.(check (list string)) "lib/mach: clean" [] (lint_under [ "lib"; "mach" ])
+
 (* A syntactically broken file is a finding, not a crash. *)
 let test_syntax_error_is_finding () =
   let path = Filename.temp_file "machlint_fixture" ".ml" in
@@ -143,6 +168,8 @@ let suite =
         test_fixed_files_stay_clean;
       Alcotest.test_case "syntax error is a finding" `Quick
         test_syntax_error_is_finding;
+      Alcotest.test_case "hot-path covers the machine model" `Quick
+        test_machine_model_is_hot;
     ]
 
 let () = Alcotest.run "machlint" [ ("machlint", suite) ]

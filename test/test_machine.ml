@@ -201,7 +201,7 @@ let test_perf_diff () =
    heap meanwhile, and the furthest CPU clock. *)
 let fetch_load_store_alloc ~ncpus ~triples =
   let config = { Config.pentium_133 with Config.ncpus } in
-  let bus = Bus.create ~ncpus in
+  let bus = Bus.create ~ncpus config in
   let cpus = Array.init ncpus (fun id -> Cpu.create ~id ~bus config) in
   let layout = Layout.create config in
   let code = Layout.alloc layout ~name:"code" ~kind:Layout.Code ~size:4096 in
@@ -228,15 +228,37 @@ let test_warm_path_allocation () =
   Alcotest.(check (float 0.)) "1 CPU: no minor words" 0. minor;
   Alcotest.(check (float 0.)) "1 CPU: no major words" 0. major;
   (* On two CPUs the bus books demand per capacity window and tracks the
-     64 data lines in its directory.  Only growing those tables may
-     allocate: at most 32 words per entry, amortized. *)
+     64 data lines in its directory.  The warm-up gave those lines their
+     directory leaf, so only the window table may allocate when it grows:
+     two arrays of at most 4 slots per window, doubled, so at most 16
+     words per window. *)
   let minor, major, clock = fetch_load_store_alloc ~ncpus:2 ~triples:200_000 in
-  let entries = 64 + int_of_float (clock /. Bus.window) + 1 in
+  let windows = int_of_float (clock /. Bus.window) + 1 in
   Alcotest.(check (float 0.)) "2 CPUs: no minor words" 0. minor;
   Alcotest.(check bool)
-    (Printf.sprintf "2 CPUs: %.0f major words for %d table entries" major entries)
+    (Printf.sprintf "2 CPUs: %.0f major words for %d windows" major windows)
     true
-    (major <= float_of_int (32 * entries))
+    (major <= float_of_int (16 * (windows + 1)))
+
+(* The directory allocates one leaf per 4 KB block on the first write
+   into it, and nothing after. *)
+let test_directory_leaf_allocation () =
+  let bus = Bus.create ~ncpus:2 Config.pentium_133 in
+  let write line = ignore (Bus.note_access bus ~cpu:0 ~line ~write:true : bool) in
+  let words f =
+    let minor0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. minor0
+  in
+  let first = words (fun () -> write 0x5000) in
+  Alcotest.(check bool) (Printf.sprintf "first write: one leaf (%.0f words)" first) true
+    (first > 0. && first <= float_of_int (2 + (4096 / 32 / (Sys.word_size / 8))));
+  Alcotest.(check (float 0.)) "same block: no words" 0.
+    (words (fun () -> write 0x5fe0; write 0x5000));
+  Alcotest.(check (float 0.)) "reads of unwritten blocks: no words" 0.
+    (words (fun () ->
+         ignore (Bus.note_access bus ~cpu:1 ~line:0x9000 ~write:false : bool);
+         ignore (Bus.note_access bus ~cpu:1 ~line:0x40000000 ~write:false : bool)))
 
 (* --- differential tests: the O(1) models against linear-scan references --- *)
 (* The references are the plain models the hot path replaced: a closure
@@ -358,13 +380,8 @@ let same_cache_as_reference name (g : Config.cache_geometry) =
           && Cache.resident c = Ref_cache.resident r)
         ops)
 
-let same_tlb_as_reference name ~entries =
-  (* four candidate pages per slot, four per bucket of the page index
-     (it has 4 x entries buckets), so buckets crowd and hints go stale *)
-  let page =
-    QCheck.Gen.(map2 (fun b k -> b + (k * 4 * entries)) (int_bound (entries - 1)) (int_bound 3))
-  in
-  QCheck.Test.make ~name ~count:60 (QCheck.make (mem_ops_gen page))
+let tlb_matches_reference name ~entries ~count ops =
+  QCheck.Test.make ~name ~count (QCheck.make ops)
     (fun ops ->
       let t = Tlb.create ~entries ~page_size:4096 and r = Ref_tlb.create ~entries ~page_size:4096 in
       List.for_all
@@ -376,6 +393,28 @@ let same_tlb_as_reference name ~entries =
           && Tlb.resident t = Ref_tlb.resident r)
         ops)
 
+let same_tlb_as_reference name ~entries =
+  (* four candidate pages per slot, four per bucket of the page index
+     (it has 4 x entries buckets), so buckets crowd and hints go stale *)
+  let page =
+    QCheck.Gen.(map2 (fun b k -> b + (k * 4 * entries)) (int_bound (entries - 1)) (int_bound 3))
+  in
+  tlb_matches_reference name ~entries ~count:60 (mem_ops_gen page)
+
+(* Long runs over twice as many pages as the TLB holds, so every pass
+   evicts, with flushes and single-page invalidates between installs:
+   the recency list must keep picking the victim the stamps pick. *)
+let same_tlb_over_long_runs name ~entries =
+  let ops =
+    let open QCheck.Gen in
+    let addr = map2 (fun p off -> (p * 4096) + off) (int_bound (2 * entries)) (int_bound 4095) in
+    list_size (int_range 5_000 20_000)
+      (frequency
+         [ (40, map (fun a -> Access a) addr); (3, map (fun a -> Invalidate a) addr);
+           (1, return Flush) ])
+  in
+  tlb_matches_reference name ~entries ~count:10 ops
+
 let same_bus_as_reference =
   let op =
     QCheck.Gen.(
@@ -385,7 +424,7 @@ let same_bus_as_reference =
   QCheck.Test.make ~name:"bus: directory and windows match the hashtable model" ~count:60
     (QCheck.make QCheck.Gen.(list_size (int_range 1 3000) op))
     (fun ops ->
-      let b = Bus.create ~ncpus:4 and r = Ref_bus.create () in
+      let b = Bus.create ~ncpus:4 Config.pentium_133 and r = Ref_bus.create () in
       List.for_all
         (fun (is_access, (cpu, line, write, (now, n))) ->
           if is_access then
@@ -398,6 +437,59 @@ let same_bus_as_reference =
             float_of_int (Bus.acquire b ~window_index ~bus_cycles:(n * 40))
             = Ref_bus.acquire r ~now ~bus_cycles:(n * 40))
         ops)
+
+(* Lines scattered over many 4 KB directory leaves and far past the
+   16 MB the directory initially covers, written and read by four CPUs. *)
+let bus_directory_spans_leaves =
+  let line =
+    QCheck.Gen.(
+      oneof
+        [ map (fun l -> l * 32) (int_bound 511);
+          map2 (fun b l -> (b * 4096) + (l * 32)) (int_bound 8191) (int_bound 3);
+          map (fun l -> l * 32) (int_bound (1 lsl 25)) ])
+  in
+  QCheck.Test.make ~name:"bus: directory leaves and growth match the hashtable model" ~count:40
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 3000) (triple (int_bound 3) line bool)))
+    (fun ops ->
+      let b = Bus.create ~ncpus:4 Config.pentium_133 and r = Ref_bus.create () in
+      List.for_all
+        (fun (cpu, line, write) ->
+          Bus.note_access b ~cpu ~line ~write = Ref_bus.note_access r ~cpu ~line ~write)
+        ops)
+
+let test_bus_reset () =
+  let bus = Bus.create ~ncpus:2 Config.pentium_133 in
+  (* fill window 3, so a stale memo or count would stall the next booking *)
+  ignore (Bus.acquire bus ~window_index:3 ~bus_cycles:(2 * int_of_float Bus.window) : int);
+  Alcotest.(check bool) "full window stalls" true
+    (Bus.acquire bus ~window_index:3 ~bus_cycles:40 > 0);
+  ignore (Bus.note_access bus ~cpu:0 ~line:0x2040 ~write:true : bool);
+  ignore (Bus.note_access bus ~cpu:0 ~line:0x4000000 ~write:true : bool);
+  Bus.reset bus;
+  Alcotest.(check int) "same window after reset: no stall" 0
+    (Bus.acquire bus ~window_index:3 ~bus_cycles:40);
+  Alcotest.(check bool) "directory forgot the writer" false
+    (Bus.note_access bus ~cpu:1 ~line:0x2040 ~write:false);
+  Alcotest.(check bool) "and the one past its initial size" false
+    (Bus.note_access bus ~cpu:1 ~line:0x4000000 ~write:false)
+
+(* The window table starts with 1024 slots and doubles; the memo of the
+   last booked window must follow it through every growth. *)
+let test_bus_memo_across_growth () =
+  let bus = Bus.create ~ncpus:2 Config.pentium_133 and r = Ref_bus.create () in
+  let book w n =
+    let now = float_of_int w *. Bus.window in
+    Alcotest.(check int)
+      (Printf.sprintf "window %d" w)
+      (int_of_float (Ref_bus.acquire r ~now ~bus_cycles:n))
+      (Bus.acquire bus ~window_index:w ~bus_cycles:n)
+  in
+  for w = 0 to 5000 do
+    book w 3000;
+    book w 3000;
+    if w mod 7 = 0 then book (w / 2) 5000;
+    book w 3000
+  done
 
 (* The disk keeps its image in chunks allocated on first non-zero
    write; every read must see what a flat image would hold, through
@@ -490,6 +582,15 @@ let suite =
              ~entries:Config.pentium_133.Config.tlb_entries);
     qtest (same_tlb_as_reference "tlb: 128 entries match the scan model"
              ~entries:Config.ppc604_133.Config.tlb_entries);
+    Alcotest.test_case "directory leaf allocation" `Quick test_directory_leaf_allocation;
+    Alcotest.test_case "bus reset clears directory and memo" `Quick test_bus_reset;
+    Alcotest.test_case "bus window memo across table growth" `Quick
+      test_bus_memo_across_growth;
+    qtest (same_tlb_over_long_runs "tlb: 64 entries match the scan model over long runs"
+             ~entries:Config.pentium_133.Config.tlb_entries);
+    qtest (same_tlb_over_long_runs "tlb: 128 entries match the scan model over long runs"
+             ~entries:Config.ppc604_133.Config.tlb_entries);
     qtest same_bus_as_reference;
+    qtest bus_directory_spans_leaves;
     qtest sparse_disk_matches_flat_image;
   ]
