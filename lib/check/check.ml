@@ -20,6 +20,58 @@ type report = {
   rep_findings : finding list;
 }
 
+(* --- counters ------------------------------------------------------------ *)
+
+(* The one declaration of every counter, in report order: its JSON key
+   and whether it counts as a finding.  Checkers bump a counter through
+   its [c_] name, so a misspelt counter is a compile error.  The names
+   are top-level rather than in a submodule, which would be one more
+   block allocated at start-up.  [c_reinc_budget_exhausted] is
+   informational: demotion is the policy working, not a safety
+   violation. *)
+let declared = Queue.create ()
+
+let counter ?(finding = false) key =
+  Queue.add (key, finding) declared;
+  Queue.length declared - 1
+
+let c_spaces = counter "spaces"
+let c_right_transitions = counter "right_transitions"
+let c_live_rights = counter "live_rights"
+let c_leaked_rights = counter ~finding:true "leaked_rights"
+let c_right_double_frees = counter ~finding:true "right_double_frees"
+let c_right_downgrades = counter ~finding:true "right_downgrades"
+let c_teardown_residual = counter "teardown_residual"
+let c_blocks_tracked = counter "blocks_tracked"
+let c_wait_cycles = counter ~finding:true "wait_cycles"
+let c_buffers_shadowed = counter "buffers_shadowed"
+let c_buf_double_releases = counter ~finding:true "buf_double_releases"
+let c_buf_use_after_release = counter ~finding:true "buf_use_after_release"
+let c_remap_moves = counter "remap_moves"
+let c_double_moves = counter ~finding:true "double_moves"
+let c_write_after_move = counter ~finding:true "write_after_move"
+let c_mapout_evictions = counter ~finding:true "mapout_evictions"
+let c_crash_points = counter "crash_points"
+let c_lost_writes = counter ~finding:true "lost_writes"
+let c_torn_states = counter ~finding:true "torn_states"
+let c_vnodes_shadowed = counter "vnodes_shadowed"
+let c_vnode_ref_underflows = counter ~finding:true "vnode_ref_underflows"
+let c_vnode_use_after_reclaim = counter ~finding:true "vnode_use_after_reclaim"
+let c_vnode_leaks = counter ~finding:true "vnode_leaks"
+let c_ncache_shadowed = counter "ncache_shadowed"
+let c_ncache_stale = counter ~finding:true "ncache_stale"
+let c_net_sockets = counter "net_sockets"
+let c_net_touches = counter "net_touches"
+let c_net_shard_crossings = counter ~finding:true "net_shard_crossings"
+let c_reinc_kills = counter "reinc_kills"
+let c_reinc_reboots = counter "reinc_reboots"
+let c_reinc_orphans = counter ~finding:true "reinc_orphans"
+let c_reinc_stale_registry = counter ~finding:true "reinc_stale_registry"
+let c_reinc_rights_residue = counter ~finding:true "reinc_rights_residue"
+let c_reinc_budget_exhausted = counter "reinc_budget_exhausted"
+
+let table = List.of_seq (Queue.to_seq declared)
+
 (* One shadow right entry: task [task] in space [space] holds [ce_refs]
    references of [ce_right] to port [port]. *)
 type centry = {
@@ -41,126 +93,65 @@ type blocked = {
 }
 
 type t = {
-  mutable spaces : int;
+  counts : int array;  (* indexed by the [c_] counters *)
   (* rights: (space, task, port) -> entry; dead ports as (space, port) *)
   rights : (int * int * int, centry) Hashtbl.t;
   dead_ports : (int * int, unit) Hashtbl.t;
-  mutable transitions : int;
-  mutable teardown_residual : int;
   (* deadlock: (space, tid) -> blocked; (space, res) -> owning tid *)
   blocked : (int * int, blocked) Hashtbl.t;
   owners : (int * string, int) Hashtbl.t;
   seen_cycles : (string, unit) Hashtbl.t;
-  mutable blocks_tracked : int;
   (* buffers: (space, addr) -> bytes live; retired set for UAR detection *)
   buf_live : (int * int, int) Hashtbl.t;
   buf_retired : (int * int, unit) Hashtbl.t;
-  mutable buf_shadowed : int;
   (* remap ownership: (space, task) -> ranges the task has moved out and
      no longer owns; (space, page addr) -> pinned flag for cache pages
      currently mapped out to another task *)
   moved_out : (int * int, (int * int * string) list ref) Hashtbl.t;
   mapped_out : (int * int, bool) Hashtbl.t;
-  mutable remap_moves : int;
-  (* findings, newest first, plus per-kind counters *)
+  (* findings, newest first *)
   mutable recorded : finding list;
-  mutable n_double_free : int;
-  mutable n_downgrade : int;
-  mutable n_cycle : int;
-  mutable n_buf_double : int;
-  mutable n_buf_uar : int;
-  mutable n_double_move : int;
-  mutable n_write_after_move : int;
-  mutable n_mapout_evict : int;
-  (* crash consistency: points enumerated, recovery invariant breaks *)
-  mutable crash_points : int;
-  mutable n_lost_writes : int;
-  mutable n_torn_states : int;
   (* vnode lifecycle: (space, mount, file) -> shadow refcount; reclaimed
      set for use-after-reclaim; (space, mount, dir, name) -> file for
      positive name-cache entries *)
   vn_refs : (int * int * int, int) Hashtbl.t;
   vn_reclaimed : (int * int * int, unit) Hashtbl.t;
   nc_entries : (int * int * int * string, int) Hashtbl.t;
-  mutable vnodes_shadowed : int;
-  mutable ncache_shadowed : int;
-  mutable n_vn_underflow : int;
-  mutable n_vn_uar : int;
-  mutable n_vn_leak : int;
-  mutable n_nc_stale : int;
   (* netisr shard discipline: (space, socket uid) -> home shard *)
   net_homes : (int * int, int) Hashtbl.t;
-  mutable net_sockets : int;
-  mutable net_touches : int;
-  mutable n_net_crossings : int;
   (* reincarnation: (space, shard) dead set; (space, socket uid) -> home
      shard for state that a killed shard held and its rebirth must
      restore *)
   reinc_dead : (int * int, unit) Hashtbl.t;
   reinc_expected : (int * int, int) Hashtbl.t;
-  mutable reinc_kills : int;
-  mutable reinc_reboots : int;
-  mutable n_reinc_orphans : int;
-  mutable n_reinc_stale : int;
-  mutable n_reinc_residue : int;
-  mutable n_reinc_budget : int;
 }
 
 let create () =
   {
-    spaces = 0;
+    counts = Array.make (List.length table) 0;
     rights = Hashtbl.create 64;
     dead_ports = Hashtbl.create 64;
-    transitions = 0;
-    teardown_residual = 0;
     blocked = Hashtbl.create 32;
     owners = Hashtbl.create 32;
     seen_cycles = Hashtbl.create 8;
-    blocks_tracked = 0;
     buf_live = Hashtbl.create 64;
     buf_retired = Hashtbl.create 64;
-    buf_shadowed = 0;
     moved_out = Hashtbl.create 16;
     mapped_out = Hashtbl.create 32;
-    remap_moves = 0;
     recorded = [];
-    n_double_free = 0;
-    n_downgrade = 0;
-    n_cycle = 0;
-    n_buf_double = 0;
-    n_buf_uar = 0;
-    n_double_move = 0;
-    n_write_after_move = 0;
-    n_mapout_evict = 0;
-    crash_points = 0;
-    n_lost_writes = 0;
-    n_torn_states = 0;
     vn_refs = Hashtbl.create 64;
     vn_reclaimed = Hashtbl.create 64;
     nc_entries = Hashtbl.create 64;
-    vnodes_shadowed = 0;
-    ncache_shadowed = 0;
-    n_vn_underflow = 0;
-    n_vn_uar = 0;
-    n_vn_leak = 0;
-    n_nc_stale = 0;
     net_homes = Hashtbl.create 64;
-    net_sockets = 0;
-    net_touches = 0;
-    n_net_crossings = 0;
     reinc_dead = Hashtbl.create 8;
     reinc_expected = Hashtbl.create 64;
-    reinc_kills = 0;
-    reinc_reboots = 0;
-    n_reinc_orphans = 0;
-    n_reinc_stale = 0;
-    n_reinc_residue = 0;
-    n_reinc_budget = 0;
   }
 
+let bump ?(by = 1) t c = t.counts.(c) <- t.counts.(c) + by
+
 let new_space t =
-  t.spaces <- t.spaces + 1;
-  t.spaces
+  bump t c_spaces;
+  t.counts.(c_spaces)
 
 let g_installed : t option ref = ref None
 let install t = g_installed := Some t
@@ -175,41 +166,39 @@ let with_checker enabled f =
     Fun.protect ~finally:uninstall (fun () -> f (Some t))
   end
 
-let record t ~checker ~kind detail =
+let record t c ~checker ~kind detail =
+  bump t c;
   t.recorded <- { f_checker = checker; f_kind = kind; f_detail = detail }
                 :: t.recorded
 
 (* --- rights sanitizer --------------------------------------------------- *)
 
 let right_allocated t ~space ~task ~tname ~port ~pname =
-  t.transitions <- t.transitions + 1;
+  bump t c_right_transitions;
   Hashtbl.replace t.rights (space, task, port)
     { ce_right = R_receive; ce_refs = 1; ce_tname = tname; ce_pname = pname }
 
 let right_inserted t ~space ~task ~tname ~port ~pname ~right ~now =
-  t.transitions <- t.transitions + 1;
+  bump t c_right_transitions;
   match Hashtbl.find_opt t.rights (space, task, port) with
   | None ->
       Hashtbl.replace t.rights (space, task, port)
         { ce_right = now; ce_refs = 1; ce_tname = tname; ce_pname = pname }
   | Some e ->
       e.ce_refs <- e.ce_refs + 1;
-      if right_rank now < right_rank e.ce_right then begin
-        t.n_downgrade <- t.n_downgrade + 1;
-        record t ~checker:"rights" ~kind:"downgrade"
+      if right_rank now < right_rank e.ce_right then
+        record t c_right_downgrades ~checker:"rights" ~kind:"downgrade"
           (Printf.sprintf
              "task %s: inserting %s over held %s right to port %s \
               weakened the capability"
-             tname (right_name right) (right_name e.ce_right) pname)
-      end;
+             tname (right_name right) (right_name e.ce_right) pname);
       e.ce_right <- now
 
 let right_deallocated t ~space ~task ~port =
-  t.transitions <- t.transitions + 1;
+  bump t c_right_transitions;
   match Hashtbl.find_opt t.rights (space, task, port) with
   | None ->
-      t.n_double_free <- t.n_double_free + 1;
-      record t ~checker:"rights" ~kind:"double-free"
+      record t c_right_double_frees ~checker:"rights" ~kind:"double-free"
         (Printf.sprintf
            "task t%d deallocated a right to port p%d the shadow no longer \
             holds" task port)
@@ -217,33 +206,31 @@ let right_deallocated t ~space ~task ~port =
       e.ce_refs <- e.ce_refs - 1;
       if e.ce_refs <= 0 then Hashtbl.remove t.rights (space, task, port)
 
-let dealloc_missing t ~space:_ ~task:_ ~tname ~name =
-  t.n_double_free <- t.n_double_free + 1;
-  record t ~checker:"rights" ~kind:"double-free"
+let dealloc_missing t ~tname ~name =
+  record t c_right_double_frees ~checker:"rights" ~kind:"double-free"
     (Printf.sprintf
        "task %s deallocated name %d, which its port space does not hold"
        tname name)
 
-let right_moved t ~space ~from_task ~from_name ~to_task ~to_name ~port ~pname
-    ~right ~now =
+let right_moved t ~space ~from_task ~to_task ~to_name ~port ~pname ~right
+    ~now =
+  (* a move is two transitions: the source's dealloc half and the
+     destination's deposit *)
   right_deallocated t ~space ~task:from_task ~port;
-  (* the move's dealloc half is implied, not a user transition *)
   (match Hashtbl.find_opt t.rights (space, to_task, port) with
   | Some _ ->
       right_inserted t ~space ~task:to_task ~tname:to_name ~port ~pname ~right
         ~now
   | None ->
-      ignore from_name;
-      t.transitions <- t.transitions + 1;
+      bump t c_right_transitions;
       Hashtbl.replace t.rights (space, to_task, port)
         { ce_right = now; ce_refs = 1; ce_tname = to_name; ce_pname = pname })
 
 let port_destroyed t ~space ~port =
-  t.transitions <- t.transitions + 1;
+  bump t c_right_transitions;
   Hashtbl.replace t.dead_ports (space, port) ()
 
-let task_teardown t ~space ~task ~tname =
-  ignore tname;
+let task_teardown t ~space ~task =
   let keys =
     Hashtbl.fold
       (fun ((sp, tk, _) as k) _ acc -> if sp = space && tk = task then k :: acc else acc)
@@ -251,7 +238,7 @@ let task_teardown t ~space ~task ~tname =
   in
   List.iter (Hashtbl.remove t.rights) keys;
   let n = List.length keys in
-  t.teardown_residual <- t.teardown_residual + n;
+  bump ~by:n t c_teardown_residual;
   n
 
 let live_rights t ~space ~task =
@@ -328,7 +315,7 @@ let describe_cycle t ~space path =
   | _ -> base
 
 let blocked_on t ~space ~tid ~tname ~cpu ~res ~rdesc ~holders =
-  t.blocks_tracked <- t.blocks_tracked + 1;
+  bump t c_blocks_tracked;
   Hashtbl.replace t.blocked (space, tid)
     {
       b_tname = tname;
@@ -348,8 +335,7 @@ let blocked_on t ~space ~tid ~tname ~cpu ~res ~rdesc ~holders =
       in
       if not (Hashtbl.mem t.seen_cycles key) then begin
         Hashtbl.add t.seen_cycles key ();
-        t.n_cycle <- t.n_cycle + 1;
-        record t ~checker:"deadlock" ~kind:"wait-cycle"
+        record t c_wait_cycles ~checker:"deadlock" ~kind:"wait-cycle"
           (describe_cycle t ~space path)
       end
 
@@ -389,27 +375,24 @@ let blocked_count t = Hashtbl.length t.blocked
 (* --- buffer-lifetime sanitizer ------------------------------------------ *)
 
 let buf_allocated t ~space ~addr ~bytes =
-  t.buf_shadowed <- t.buf_shadowed + 1;
+  bump t c_buffers_shadowed;
   Hashtbl.replace t.buf_live (space, addr) bytes;
   Hashtbl.remove t.buf_retired (space, addr)
 
 let buf_used t ~space ~addr =
-  if Hashtbl.mem t.buf_retired (space, addr) then begin
-    t.n_buf_uar <- t.n_buf_uar + 1;
-    record t ~checker:"buffer" ~kind:"use-after-release"
+  if Hashtbl.mem t.buf_retired (space, addr) then
+    record t c_buf_use_after_release ~checker:"buffer"
+      ~kind:"use-after-release"
       (Printf.sprintf "kernel buffer 0x%x touched after release" addr)
-  end
 
 let buf_released t ~space ~addr =
   if Hashtbl.mem t.buf_live (space, addr) then begin
     Hashtbl.remove t.buf_live (space, addr);
     Hashtbl.replace t.buf_retired (space, addr) ()
   end
-  else if Hashtbl.mem t.buf_retired (space, addr) then begin
-    t.n_buf_double <- t.n_buf_double + 1;
-    record t ~checker:"buffer" ~kind:"double-release"
+  else if Hashtbl.mem t.buf_retired (space, addr) then
+    record t c_buf_double_releases ~checker:"buffer" ~kind:"double-release"
       (Printf.sprintf "kernel buffer 0x%x released twice" addr)
-  end
 (* else: unknown addr — allocated before attach or orphaned by a recycle *)
 
 let buf_reset t ~space =
@@ -437,7 +420,7 @@ let buf_reset t ~space =
 let ranges_overlap a1 b1 a2 b2 = a1 < a2 + b2 && a2 < a1 + b1
 
 let remap_moved t ~space ~task ~tname ~addr ~bytes =
-  t.remap_moves <- t.remap_moves + 1;
+  bump t c_remap_moves;
   let key = (space, task) in
   let lst =
     match Hashtbl.find_opt t.moved_out key with
@@ -449,14 +432,12 @@ let remap_moved t ~space ~task ~tname ~addr ~bytes =
   in
   List.iter
     (fun (a, b, _) ->
-      if ranges_overlap addr bytes a b then begin
-        t.n_double_move <- t.n_double_move + 1;
-        record t ~checker:"remap" ~kind:"double-move"
+      if ranges_overlap addr bytes a b then
+        record t c_double_moves ~checker:"remap" ~kind:"double-move"
           (Printf.sprintf
              "task %s: range 0x%x+%d moved out again (overlaps moved-out \
               0x%x+%d)"
-             tname addr bytes a b)
-      end)
+             tname addr bytes a b))
     !lst;
   lst := (addr, bytes, tname) :: !lst
 
@@ -469,8 +450,8 @@ let remap_write t ~space ~task ~addr ~bytes =
       in
       List.iter
         (fun (a, b, tname) ->
-          t.n_write_after_move <- t.n_write_after_move + 1;
-          record t ~checker:"remap" ~kind:"write-after-move"
+          record t c_write_after_move ~checker:"remap"
+            ~kind:"write-after-move"
             (Printf.sprintf
                "task %s: write to 0x%x+%d lands in range 0x%x+%d whose \
                 pages were donated by remap_move"
@@ -496,8 +477,7 @@ let cache_reused t ~space ~addr ~tag =
   match Hashtbl.find_opt t.mapped_out (space, addr) with
   | None -> ()
   | Some pinned ->
-      t.n_mapout_evict <- t.n_mapout_evict + 1;
-      record t ~checker:"remap" ~kind:"mapout-eviction"
+      record t c_mapout_evictions ~checker:"remap" ~kind:"mapout-eviction"
         (Printf.sprintf
            "cache page 0x%x (%s) reused while still mapped out to a \
             client%s"
@@ -507,15 +487,13 @@ let cache_reused t ~space ~addr ~tag =
 
 (* --- crash-consistency checker ------------------------------------------ *)
 
-let crash_point_checked t ~space:_ = t.crash_points <- t.crash_points + 1
+let crash_point_checked t = bump t c_crash_points
 
-let crash_lost_write t ~space:_ detail =
-  t.n_lost_writes <- t.n_lost_writes + 1;
-  record t ~checker:"crash" ~kind:"lost-write" detail
+let crash_lost_write t detail =
+  record t c_lost_writes ~checker:"crash" ~kind:"lost-write" detail
 
-let crash_torn_state t ~space:_ detail =
-  t.n_torn_states <- t.n_torn_states + 1;
-  record t ~checker:"crash" ~kind:"torn-state" detail
+let crash_torn_state t detail =
+  record t c_torn_states ~checker:"crash" ~kind:"torn-state" detail
 
 (* --- vnode-lifecycle checker --------------------------------------------- *)
 
@@ -527,7 +505,7 @@ let crash_torn_state t ~space:_ detail =
    reclaimed without invalidation is caught as a stale entry. *)
 
 let vnode_active t ~space ~mount ~file =
-  t.vnodes_shadowed <- t.vnodes_shadowed + 1;
+  bump t c_vnodes_shadowed;
   (* formats reuse file ids: a fresh vnode under a reclaimed id is a new
      incarnation, not a use of the old one *)
   Hashtbl.remove t.vn_reclaimed (space, mount, file);
@@ -544,8 +522,7 @@ let vnode_unref t ~space ~mount ~file =
   match Hashtbl.find_opt t.vn_refs k with
   | Some n when n > 0 -> Hashtbl.replace t.vn_refs k (n - 1)
   | _ ->
-      t.n_vn_underflow <- t.n_vn_underflow + 1;
-      record t ~checker:"vnode" ~kind:"ref-underflow"
+      record t c_vnode_ref_underflows ~checker:"vnode" ~kind:"ref-underflow"
         (Printf.sprintf
            "vnode m%d/f%d unreferenced more times than it was referenced"
            mount file)
@@ -555,8 +532,8 @@ let vnode_reclaimed t ~space ~mount ~file =
 
 let vnode_used t ~space ~mount ~file ~op =
   if Hashtbl.mem t.vn_reclaimed (space, mount, file) then begin
-    t.n_vn_uar <- t.n_vn_uar + 1;
-    record t ~checker:"vnode" ~kind:"use-after-reclaim"
+    record t c_vnode_use_after_reclaim ~checker:"vnode"
+      ~kind:"use-after-reclaim"
       (Printf.sprintf "%s dispatched through reclaimed vnode m%d/f%d" op
          mount file);
     (* one bug is one finding: re-arm rather than repeating *)
@@ -572,14 +549,12 @@ let vnode_mount_recovered t ~space ~mount =
   in
   List.iter
     (fun (((_, m, f) as k), n) ->
-      if n > 0 then begin
-        t.n_vn_leak <- t.n_vn_leak + 1;
-        record t ~checker:"vnode" ~kind:"leaked-refs"
+      if n > 0 then
+        record t c_vnode_leaks ~checker:"vnode" ~kind:"leaked-refs"
           (Printf.sprintf
              "vnode m%d/f%d still holds %d reference(s) across mount \
               recovery"
-             m f n)
-      end;
+             m f n);
       Hashtbl.remove t.vn_refs k)
     keys;
   let dead =
@@ -590,15 +565,10 @@ let vnode_mount_recovered t ~space ~mount =
   in
   List.iter (Hashtbl.remove t.vn_reclaimed) dead
 
-let vnode_live_refs t ~space ~mount =
-  Hashtbl.fold
-    (fun (sp, m, _) n acc -> if sp = space && m = mount then acc + n else acc)
-    t.vn_refs 0
-
 (* --- name-cache shadow ---------------------------------------------------- *)
 
 let ncache_stored t ~space ~mount ~dir ~name ~file =
-  t.ncache_shadowed <- t.ncache_shadowed + 1;
+  bump t c_ncache_shadowed;
   Hashtbl.replace t.nc_entries (space, mount, dir, name) file
 
 let ncache_hit t ~space ~mount ~dir ~name =
@@ -606,8 +576,7 @@ let ncache_hit t ~space ~mount ~dir ~name =
   | None -> ()
   | Some file ->
       if Hashtbl.mem t.vn_reclaimed (space, mount, file) then begin
-        t.n_nc_stale <- t.n_nc_stale + 1;
-        record t ~checker:"vnode" ~kind:"stale-entry"
+        record t c_ncache_stale ~checker:"vnode" ~kind:"stale-entry"
           (Printf.sprintf
              "name cache served (m%d/d%d, %S) -> f%d after the vnode was \
               reclaimed without invalidation"
@@ -629,30 +598,28 @@ let ncache_cleared t ~space =
 (* --- netisr shard checker ------------------------------------------------- *)
 
 let net_socket_home t ~space ~sock ~shard =
-  t.net_sockets <- t.net_sockets + 1;
+  bump t c_net_sockets;
   Hashtbl.replace t.net_homes (space, sock) shard
 
 let net_touched t ~space ~sock ~home ~shard =
-  t.net_touches <- t.net_touches + 1;
+  bump t c_net_touches;
   (* trust the registered home over the caller's claim, if we saw it *)
   let home =
     match Hashtbl.find_opt t.net_homes (space, sock) with
     | Some h -> h
     | None -> home
   in
-  if shard <> home then begin
-    t.n_net_crossings <- t.n_net_crossings + 1;
-    record t ~checker:"net" ~kind:"shard-crossing"
+  if shard <> home then
+    record t c_net_shard_crossings ~checker:"net" ~kind:"shard-crossing"
       (Printf.sprintf
          "socket u%d (home shard %d) was touched by shard %d's protocol \
           thread"
          sock home shard)
-  end
 
 (* --- reincarnation checker ------------------------------------------------ *)
 
 let reinc_shard_killed t ~space ~shard =
-  t.reinc_kills <- t.reinc_kills + 1;
+  bump t c_reinc_kills;
   Hashtbl.replace t.reinc_dead (space, shard) ()
 
 let reinc_expect t ~space ~shard ~sock =
@@ -662,15 +629,15 @@ let reinc_restored t ~space ~shard ~sock =
   match Hashtbl.find_opt t.reinc_expected (space, sock) with
   | Some _ -> Hashtbl.remove t.reinc_expected (space, sock)
   | None ->
-      t.n_reinc_stale <- t.n_reinc_stale + 1;
-      record t ~checker:"reinc" ~kind:"stale-registry"
+      record t c_reinc_stale_registry ~checker:"reinc"
+        ~kind:"stale-registry"
         (Printf.sprintf
            "shard %d rebuilt socket u%d from a registry entry that matched \
             nothing the dead shard held"
            shard sock)
 
 let reinc_shard_reborn t ~space ~shard =
-  t.reinc_reboots <- t.reinc_reboots + 1;
+  bump t c_reinc_reboots;
   Hashtbl.remove t.reinc_dead (space, shard);
   let orphans =
     Hashtbl.fold
@@ -681,38 +648,29 @@ let reinc_shard_reborn t ~space ~shard =
   List.iter
     (fun (k, sock) ->
       Hashtbl.remove t.reinc_expected k;
-      t.n_reinc_orphans <- t.n_reinc_orphans + 1;
-      record t ~checker:"reinc" ~kind:"orphaned-state"
+      record t c_reinc_orphans ~checker:"reinc" ~kind:"orphaned-state"
         (Printf.sprintf
            "socket u%d was live in shard %d at its death and reincarnation \
             did not restore it"
            sock shard))
     (List.sort compare orphans)
 
-let reinc_rights_residue t ~space:_ ~shard ~port ~pname =
-  t.n_reinc_residue <- t.n_reinc_residue + 1;
-  record t ~checker:"reinc" ~kind:"rights-residue"
+let reinc_rights_residue t ~shard ~port ~pname =
+  record t c_reinc_rights_residue ~checker:"reinc" ~kind:"rights-residue"
     (Printf.sprintf
        "after shard %d's reboot the netserver still holds rights to %s(p%d) \
         backing no live socket"
        shard pname port)
 
-let reinc_budget_exhausted t ~space:_ ~path ~restarts =
-  t.n_reinc_budget <- t.n_reinc_budget + 1;
-  record t ~checker:"reinc" ~kind:"budget-exhausted"
+let reinc_budget_exhausted t ~path ~restarts =
+  record t c_reinc_budget_exhausted ~checker:"reinc"
+    ~kind:"budget-exhausted"
     (Printf.sprintf
        "%s exhausted its restart budget after %d restart(s) and was demoted \
         to degraded mode"
        path restarts)
 
-let reinc_pending t ~space =
-  Hashtbl.fold
-    (fun (sp, _) _ acc -> if sp = space then acc + 1 else acc)
-    t.reinc_expected 0
-
 (* --- reporting ---------------------------------------------------------- *)
-
-let findings t = List.rev t.recorded
 
 let leak_findings t =
   let leaks =
@@ -736,50 +694,17 @@ let leak_findings t =
       })
     leaks
 
-(* Every counter once, under its JSON key, flagged when it counts as a
-   finding.  [reinc_budget_exhausted] is informational: demotion is the
-   policy working, not a safety violation. *)
+(* The counter table, with the two counters that are snapshots of the
+   shadow state filled in at report time. *)
 let report t =
   let leaks = leak_findings t in
+  let counts = Array.copy t.counts in
+  counts.(c_live_rights) <- Hashtbl.length t.rights;
+  counts.(c_leaked_rights) <- List.length leaks;
   {
     rep_counters =
-      [
-        ("spaces", t.spaces, false);
-        ("right_transitions", t.transitions, false);
-        ("live_rights", Hashtbl.length t.rights, false);
-        ("leaked_rights", List.length leaks, true);
-        ("right_double_frees", t.n_double_free, true);
-        ("right_downgrades", t.n_downgrade, true);
-        ("teardown_residual", t.teardown_residual, false);
-        ("blocks_tracked", t.blocks_tracked, false);
-        ("wait_cycles", t.n_cycle, true);
-        ("buffers_shadowed", t.buf_shadowed, false);
-        ("buf_double_releases", t.n_buf_double, true);
-        ("buf_use_after_release", t.n_buf_uar, true);
-        ("remap_moves", t.remap_moves, false);
-        ("double_moves", t.n_double_move, true);
-        ("write_after_move", t.n_write_after_move, true);
-        ("mapout_evictions", t.n_mapout_evict, true);
-        ("crash_points", t.crash_points, false);
-        ("lost_writes", t.n_lost_writes, true);
-        ("torn_states", t.n_torn_states, true);
-        ("vnodes_shadowed", t.vnodes_shadowed, false);
-        ("vnode_ref_underflows", t.n_vn_underflow, true);
-        ("vnode_use_after_reclaim", t.n_vn_uar, true);
-        ("vnode_leaks", t.n_vn_leak, true);
-        ("ncache_shadowed", t.ncache_shadowed, false);
-        ("ncache_stale", t.n_nc_stale, true);
-        ("net_sockets", t.net_sockets, false);
-        ("net_touches", t.net_touches, false);
-        ("net_shard_crossings", t.n_net_crossings, true);
-        ("reinc_kills", t.reinc_kills, false);
-        ("reinc_reboots", t.reinc_reboots, false);
-        ("reinc_orphans", t.n_reinc_orphans, true);
-        ("reinc_stale_registry", t.n_reinc_stale, true);
-        ("reinc_rights_residue", t.n_reinc_residue, true);
-        ("reinc_budget_exhausted", t.n_reinc_budget, false);
-      ];
-    rep_findings = findings t @ leaks;
+      List.mapi (fun i (key, finding) -> (key, counts.(i), finding)) table;
+    rep_findings = List.rev_append t.recorded leaks;
   }
 
 let count r key =

@@ -31,9 +31,6 @@ type t
 
 type right = R_receive | R_send | R_send_once
 
-val right_rank : right -> int
-(** Receive > send > send-once, as in {!Mach.Port}. *)
-
 type finding = {
   f_checker : string;  (* "rights" | "deadlock" | "buffer" | "remap"
                           | "crash" *)
@@ -45,27 +42,10 @@ type finding = {
 
 type report = {
   rep_counters : (string * int * bool) list;
-      (** every counter once, in a fixed order: its JSON key, its value,
-          and whether it counts as a finding.  Observed: [spaces],
-          [right_transitions], [live_rights] (shadow entries held at
-          report time), [teardown_residual] (rights released implicitly
-          by task teardown), [blocks_tracked], [buffers_shadowed],
-          [remap_moves], [crash_points] (points enumerated and verified),
-          [vnodes_shadowed], [ncache_shadowed], [net_sockets],
-          [net_touches], [reinc_kills], [reinc_reboots] and
-          [reinc_budget_exhausted] (servers demoted to degraded mode: a
-          policy outcome, not a safety violation).  Findings:
-          [leaked_rights] (live entries naming a dead port),
-          [right_double_frees], [right_downgrades], [wait_cycles],
-          [buf_double_releases], [buf_use_after_release], [double_moves],
-          [write_after_move], [mapout_evictions], [lost_writes]
-          (acknowledged writes missing after recovery), [torn_states],
-          [vnode_ref_underflows], [vnode_use_after_reclaim],
-          [vnode_leaks] (refs held when a mount recovered),
-          [ncache_stale] (hits naming a reclaimed vnode),
-          [net_shard_crossings] (touches from a shard that is not home),
-          [reinc_orphans], [reinc_stale_registry] and
-          [reinc_rights_residue]. *)
+      (** every counter once, in the order of the counter table in
+          [check.ml]: its JSON key, its value, and whether it counts as
+          a finding.  [live_rights] and [leaked_rights] are computed when
+          the report is made; the rest are counted as events arrive. *)
   rep_findings : finding list;  (** oldest first; includes leak findings *)
 }
 
@@ -109,15 +89,13 @@ val right_deallocated : t -> space:int -> task:int -> port:int -> unit
 (** One reference dropped; the shadow entry dies at zero.  Deallocating
     a right the shadow does not know is a "double-free" finding. *)
 
-val dealloc_missing :
-  t -> space:int -> task:int -> tname:string -> name:int -> unit
+val dealloc_missing : t -> tname:string -> name:int -> unit
 (** The kernel itself rejected a deallocate ([Kern_invalid_name]): the
     task freed a name it no longer holds — a "double-free" finding. *)
 
 val right_moved :
-  t -> space:int -> from_task:int -> from_name:string -> to_task:int ->
-  to_name:string -> port:int -> pname:string -> right:right -> now:right ->
-  unit
+  t -> space:int -> from_task:int -> to_task:int -> to_name:string ->
+  port:int -> pname:string -> right:right -> now:right -> unit
 (** One reference of [right] moved between port spaces; [now] is the
     right the destination actually holds afterwards (a deposit into an
     entry holding a stronger right keeps the stronger one — recording
@@ -126,10 +104,10 @@ val right_moved :
 val port_destroyed : t -> space:int -> port:int -> unit
 (** Marks the port dead: any right entry still naming it is a leak. *)
 
-val task_teardown : t -> space:int -> task:int -> tname:string -> int
+val task_teardown : t -> space:int -> task:int -> int
 (** Release every shadow entry the task still holds (the kernel reclaims
     the port space with the task); returns the residual count, which is
-    also accumulated into {!report}[.rep_teardown_residual] rather than
+    also accumulated into the [teardown_residual] counter rather than
     silently dropped. *)
 
 val live_rights : t -> space:int -> task:int -> int
@@ -230,16 +208,16 @@ val cache_reused : t -> space:int -> addr:int -> tag:string -> unit
 
 (* --- crash-consistency checker ------------------------------------------ *)
 
-val crash_point_checked : t -> space:int -> unit
+val crash_point_checked : t -> unit
 (** One crash point (power cut after the Nth disk write) was enumerated,
     recovered from, and its invariants verified.  Counter only — the
     interesting outputs are the findings below, or their absence. *)
 
-val crash_lost_write : t -> space:int -> string -> unit
+val crash_lost_write : t -> string -> unit
 (** A write the file system acknowledged before the crash is missing or
     wrong after recovery — a "lost-write" finding. *)
 
-val crash_torn_state : t -> space:int -> string -> unit
+val crash_torn_state : t -> string -> unit
 (** Recovery left the volume structurally inconsistent (an fsck
     invariant failed, or an un-acknowledged op is partially visible) —
     a "torn-state" finding. *)
@@ -274,9 +252,6 @@ val vnode_mount_recovered : t -> space:int -> mount:int -> unit
     gone.  Any shadow reference still outstanding is a "vnode-leak"
     finding; the mount's shadow state is then purged (file ids will be
     reused by the recovered incarnation). *)
-
-val vnode_live_refs : t -> space:int -> mount:int -> int
-(** Outstanding shadow references for the mount (test hook). *)
 
 (* --- name-cache shadow ---------------------------------------------------- *)
 
@@ -327,26 +302,17 @@ val reinc_shard_reborn : t -> space:int -> shard:int -> unit
 (** The shard finished reincarnating.  Every expected socket not
     restored by now is an "orphaned-state" finding. *)
 
-val reinc_rights_residue :
-  t -> space:int -> shard:int -> port:int -> pname:string -> unit
+val reinc_rights_residue : t -> shard:int -> port:int -> pname:string -> unit
 (** After the reboot the netserver still holds rights to a port backing
     no live socket — a "rights-residue" finding. *)
 
-val reinc_budget_exhausted :
-  t -> space:int -> path:string -> restarts:int -> unit
+val reinc_budget_exhausted : t -> path:string -> restarts:int -> unit
 (** A supervised server burned through its windowed restart budget and
     was demoted to degraded mode.  Recorded as a "budget-exhausted"
     finding (visible in the finding list) but counted outside
     {!total_findings}: demotion is the policy working as designed. *)
 
-val reinc_pending : t -> space:int -> int
-(** Expected-but-unrestored sockets outstanding (test hook). *)
-
 (* --- reporting ---------------------------------------------------------- *)
-
-val findings : t -> finding list
-(** Findings recorded so far, oldest first (leak findings appear only in
-    {!report}, which scans live entries against dead ports). *)
 
 val report : t -> report
 

@@ -16,10 +16,9 @@ type t = {
   mutable intrs : int;
   (* user-level architecture *)
   u_task : task option;
-  mutable u_port : port option;
-  mutable u_beat : Mach.Health.beat option;
-  mutable u_health : port option;
-  mutable u_generation : int;
+  u_port : port option;
+  u_beat : Mach.Health.beat option;
+  u_health : port option;
   (* OODDM architecture *)
   oo_runtime : Finegrain.t option;
   oo_driver : Finegrain.obj option;
@@ -147,7 +146,6 @@ let start (kernel : Mach.Kernel.t) rm ~arch =
           u_port = None;
           u_beat = None;
           u_health = None;
-          u_generation = 0;
           oo_runtime = None;
           oo_driver = None;
         }
@@ -267,45 +265,9 @@ let write_blocks t ~block data =
               ()
           | Ok _ | Error _ -> ()))
 
-(* Reincarnate a crashed (or wedge-killed) user-level instance: fresh
-   service and health ports, fresh beat, new serve and health threads.
-   The claimed IRQ/DMA resources and the media itself survive — only the
-   serving state was lost.  The supervisor's [restart] closure for the
-   driver is exactly this. *)
-let restart_user t =
-  match t.u_task with
-  | None -> invalid_arg "Disk_driver.restart_user: not a user-level driver"
-  | Some u_task ->
-      let s = sys t in
-      Mach.Sched.with_uncharged s (fun () ->
-          t.u_generation <- t.u_generation + 1;
-          (match t.u_port with
-          | Some p when not p.dead -> Mach.Port.destroy s p
-          | _ -> ());
-          (match t.u_health with
-          | Some p when not p.dead -> Mach.Port.destroy s p
-          | _ -> ());
-          let u_port =
-            Mach.Port.allocate s ~receiver:u_task ~name:"disk-driver"
-          in
-          t.u_port <- Some u_port;
-          t.u_beat <- Some (Mach.Health.beat ());
-          t.u_health <-
-            Some (Mach.Port.allocate s ~receiver:u_task ~name:"disk-health");
-          ignore
-            (Mach.Kernel.thread_spawn t.kernel u_task
-               ~name:(Printf.sprintf "dd-serve.%d" t.u_generation) (fun () ->
-                 user_serve t u_port)
-              : thread);
-          spawn_health t u_task ~gen:t.u_generation;
-          u_port)
-
 let requests t = t.reqs
 let interrupts_taken t = t.intrs
 let driver_task t = t.u_task
-let port t = t.u_port
-let health_port t = t.u_health
-
 (* --- storage fault injection -------------------------------------------- *)
 
 (* Route every media write of [disk] through the kernel's fault plan.

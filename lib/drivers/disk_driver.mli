@@ -29,25 +29,10 @@ val read_blocks : t -> block:int -> count:int -> bytes
 
 val write_blocks : t -> block:int -> bytes -> unit
 
-val restart_user : t -> Mach.Ktypes.port
-(** Reincarnate a crashed or wedge-killed user-level instance: the old
-    service and health ports are retired, fresh ones (and a fresh beat)
-    allocated, and new serve/health threads spawned.  Returns the new
-    service port — the supervisor's [restart] closure for the driver.
-    @raise Invalid_argument for the in-kernel architectures. *)
-
 val requests : t -> int
 val interrupts_taken : t -> int
 val driver_task : t -> Mach.Ktypes.task option
 (** The driver task ([Some] only for the user-level architecture). *)
-
-val port : t -> Mach.Ktypes.port option
-(** The current service port ([Some] only for user-level). *)
-
-val health_port : t -> Mach.Ktypes.port option
-(** The current incarnation's heartbeat port ([Some] only for
-    user-level); answers {!Mach.Health.H_ping} off the serve loop's
-    beat. *)
 
 val arm_faults : Mach.Kernel.t -> Machine.Disk.t -> unit
 (** Install a write interceptor on the disk that consults the kernel's

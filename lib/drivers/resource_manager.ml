@@ -71,10 +71,6 @@ let request t ~driver resource ?(on_yield = fun () -> false) () =
       t.grants <- t.grants + 1;
       Ok g
 
-let release t g =
-  g.h_live <- false;
-  t.holdings <- List.filter (fun h -> h != g) t.holdings
-
 let holder t resource =
   match
     List.find_opt
@@ -86,11 +82,3 @@ let holder t resource =
 
 let yields_requested t = t.yields
 let grants_issued t = t.grants
-
-let pp_assignments ppf t =
-  List.iter
-    (fun h ->
-      if h.h_live then
-        Format.fprintf ppf "%-12s -> %s@," h.h_driver
-          (resource_to_string h.h_resource))
-    t.holdings

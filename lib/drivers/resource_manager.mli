@@ -23,11 +23,7 @@ val request :
 (** [on_yield] is installed as the driver's willingness to give the
     resource up later (default: refuses). *)
 
-val release : t -> grant -> unit
-
 val holder : t -> resource -> string option
 
 val yields_requested : t -> int
 val grants_issued : t -> int
-
-val pp_assignments : Format.formatter -> t -> unit

@@ -212,9 +212,6 @@ let lru_block t =
   let victim = t.lru.prev in
   if victim == t.lru then None else Some victim.s_block
 
-let dirty_blocks t =
-  Hashtbl.fold (fun _ s acc -> if s.dirty then acc + 1 else acc) t.slots 0
-
 let hits t = t.hits
 let misses t = t.misses
 let writebacks t = t.writebacks

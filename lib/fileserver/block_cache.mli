@@ -27,9 +27,6 @@ val flush_wait : t -> unit
     reorder-held writes) has reached the media.  The journal checkpoints
     through this. *)
 
-val barrier_wait : t -> unit
-(** The barrier half of {!flush_wait} alone. *)
-
 val invalidate : t -> unit
 (** Drop every cached block {e without} write-back and reset the mapout
     pool.  Used when recovering a journalled file system: the journal is
@@ -44,9 +41,6 @@ val block_size : t -> int
 val hits : t -> int
 val misses : t -> int
 val writebacks : t -> int
-
-val dirty_blocks : t -> int
-(** Currently dirty cached blocks (observability for tests). *)
 
 val kernel : t -> Mach.Kernel.t
 val disk : t -> Machine.Disk.t

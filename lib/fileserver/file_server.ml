@@ -33,7 +33,6 @@ type t = {
   buffer_obj : vm_object;  (* shared mapped-read buffer *)
   mutable served : int;
   mutable m_pageins : int;
-  mutable m_pageouts : int;
   mutable fs_retry : retry option;
   mutable fs_last_recovery : recover_report option;  (* set per restart *)
   mutable fs_beat : Mach.Health.beat;  (* fresh per incarnation *)
@@ -315,7 +314,6 @@ let start (kernel : Mach.Kernel.t) runtime fs_vfs ?(server_threads = 1) () =
           buffer_obj;
           served = 0;
           m_pageins = 0;
-          m_pageouts = 0;
           fs_retry = None;
           fs_last_recovery = None;
           fs_beat = Mach.Health.beat ();
@@ -400,12 +398,8 @@ let set_retry t ?(attempts = 4) ?(deadline = 100_000) ?(backoff = 1_000)
         rt_backoff = backoff;
       }
 
-let clear_retry t = t.fs_retry <- None
-
 let port t = t.fs_port
 let health_port t = t.fs_health
-let task t = t.fs_task
-let vfs t = t.fs_vfs
 let open_files t = Hashtbl.length t.opens
 let requests_served t = t.served
 let last_recovery t = t.fs_last_recovery
@@ -438,7 +432,6 @@ let map_file t sem task ~path =
                   k ());
               bs_page_out =
                 (fun _obj idx k ->
-                  t.m_pageouts <- t.m_pageouts + 1;
                   charge_vnode t;
                   ignore
                     (Vnode.write vn ~off:(idx * page_size)
@@ -454,8 +447,6 @@ let map_file t sem task ~path =
           Ok (addr, st.st_size))
 
 let mapped_pageins t = t.m_pageins
-let mapped_pageouts t = t.m_pageouts
-
 module Client = struct
   type handle = int
 

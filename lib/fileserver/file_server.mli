@@ -38,8 +38,6 @@ val set_retry :
     service port before each attempt, so clients survive a crash-and-
     restart under supervision. *)
 
-val clear_retry : t -> unit
-
 val port : t -> Mach.Ktypes.port
 
 (** The current incarnation's heartbeat port: a dedicated thread answers
@@ -47,8 +45,6 @@ val port : t -> Mach.Ktypes.port
     supervisor's watchdog can tell a wedged server from a busy one.
     Reallocated (with a fresh beat) on every {!restart}. *)
 val health_port : t -> Mach.Ktypes.port
-val task : t -> Mach.Ktypes.task
-val vfs : t -> Vfs.t
 val open_files : t -> int
 val requests_served : t -> int
 
@@ -65,7 +61,6 @@ val map_file :
     mapping techniques to buffer file data" of the paper's file server. *)
 
 val mapped_pageins : t -> int
-val mapped_pageouts : t -> int
 
 module Client : sig
   type handle

@@ -115,8 +115,6 @@ type txn = {
   txn_run : 'a. (unit -> ('a, fs_error) result) -> ('a, fs_error) result;
 }
 
-let txn_none = { txn_run = (fun f -> f ()) }
-
 (* What a physical file system registers: a partial operation vector.
    [None] entries fall back to the defaults in [vop_compile] (DragonFly's
    vop_default / vfs_calc_vnodeops arrangement), so a format only writes

@@ -87,8 +87,6 @@ type txn = {
   txn_run : 'a. (unit -> ('a, fs_error) result) -> ('a, fs_error) result;
 }
 
-val txn_none : txn
-
 (* What a physical file system registers: a partial operation vector.
    [None] entries fall back to the defaults in [vop_compile]. *)
 type vop_partial = {

@@ -8,7 +8,6 @@
 
 open Fs_types
 
-val config : Extfs.config
 val mkfs : Machine.Disk.t -> ?start:int -> ?blocks:int -> unit -> unit
 val mount : Block_cache.t -> ?start:int -> unit -> (pfs, fs_error) result
 

@@ -51,8 +51,6 @@ type t = {
   mutable seq : int;  (* next record sequence; slot = seq mod blocks *)
   mutable checkpointed : int;  (* highest seq covered by a checkpoint *)
   mutable txn_id : int;
-  mutable records : int;
-  mutable commits : int;
 }
 
 (* --- little-endian fields and checksums --------------------------------- *)
@@ -162,7 +160,6 @@ let put t data =
   if in_thread t then Machine.Disk.write t.disk ~block data (fun () -> ())
   else Machine.Disk.write_now t.disk ~block data;
   t.seq <- t.seq + 1;
-  t.records <- t.records + 1;
   t.note_write ()
 
 (* --- checkpoints and ring room ------------------------------------------ *)
@@ -217,8 +214,7 @@ let rec commit t writes =
         writes;
       put t (encode t ~magic:magic_commit ~seq:t.seq ~txn ~a:k ~b:0);
       (* durability point: everything above reached the media, in order *)
-      barrier_sync t;
-      t.commits <- t.commits + 1
+      barrier_sync t
 
 (* --- recovery ------------------------------------------------------------ *)
 
@@ -311,14 +307,9 @@ let attach kernel disk ~start ~blocks ~note_write ~home_write ~flush_home =
       seq = 0;
       checkpointed = -1;
       txn_id = 0;
-      records = 0;
-      commits = 0;
     }
   in
   let rv = scan_and_replay t in
   (t, rv)
 
 let recover t = scan_and_replay t
-let records_written t = t.records
-let txns_committed t = t.commits
-let ring_blocks t = t.blocks

@@ -55,7 +55,3 @@ val commit : t -> (int * bytes) list -> unit
 val recover : t -> recovery
 (** Re-run the recovery scan (used when a supervised restart hands the
     engine a freshly invalidated cache). *)
-
-val records_written : t -> int
-val txns_committed : t -> int
-val ring_blocks : t -> int

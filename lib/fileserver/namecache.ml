@@ -128,8 +128,6 @@ let clear t =
     t.lru.prev <- t.lru
   end
 
-let entries t = Hashtbl.length t.tbl
-
 let stats t =
   {
     cs_capacity = t.capacity;

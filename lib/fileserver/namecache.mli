@@ -41,5 +41,4 @@ val insert :
 
 val invalidate : t -> mount:int -> dir:Fs_types.file_id -> name:string -> unit
 val clear : t -> unit
-val entries : t -> int
 val stats : t -> stats

@@ -49,13 +49,6 @@ val resolve : t -> semantics -> path:string -> (node, fs_error) result
 (** Walk the path through the mount table and directories.  [""] and
     ["/"] resolve to {!Root}. *)
 
-val resolve_parent :
-  t -> semantics -> path:string ->
-  (Vnode.mount * Vnode.t * string, fs_error) result
-(** Resolve all but the last component; returns the mount, the parent
-    directory vnode and the leaf name (semantic checks applied to the
-    leaf). *)
-
 val compromises : t -> int
 (** Number of semantic compromises taken so far: distinct names whose
     case a case-folding mount discarded under a case-sensitive client,
@@ -82,7 +75,6 @@ val recover : t -> Fs_types.recover_report
 
 (** {2 Name-cache controls (A/B runs and tests)} *)
 
-val namecache_on : t -> bool
 val set_namecache : t -> bool -> unit
 (** Disabling clears the cache. *)
 

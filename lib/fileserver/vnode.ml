@@ -11,7 +11,6 @@ open Fs_types
 
 type mount = {
   m_id : int;
-  m_point : string;
   m_pfs : pfs;
   m_vnodes : (file_id, t) Hashtbl.t;
   (* distinct folded names already counted as union-semantics
@@ -28,10 +27,9 @@ and t = {
   mutable v_reclaimed : bool;
 }
 
-let make_mount ~id ~point ~space pfs =
+let make_mount ~id ~space pfs =
   {
     m_id = id;
-    m_point = point;
     m_pfs = pfs;
     m_vnodes = Hashtbl.create 64;
     m_folded = Hashtbl.create 8;
@@ -39,14 +37,12 @@ let make_mount ~id ~point ~space pfs =
   }
 
 let mount_id m = m.m_id
-let mount_point m = m.m_point
 let limits m = m.m_pfs.pfs_limits
 let pfs m = m.m_pfs
 
 let mount v = v.v_mount
 let id v = v.v_id
 let is_dir v = v.v_is_dir
-let refs v = v.v_refs
 let reclaimed v = v.v_reclaimed
 
 let chk m f =
@@ -84,8 +80,6 @@ let note_folding m ~folded =
     true
   end
 let root m = intern m m.m_pfs.pfs_root
-let interned m = Hashtbl.length m.m_vnodes
-
 let ref_ v =
   v.v_refs <- v.v_refs + 1;
   chk v.v_mount (fun c sp ->
@@ -157,10 +151,6 @@ let read_paged v ~off ~len =
 let write v ~off data =
   let* () = use v ~op:"write" in
   v.v_mount.m_pfs.pfs_write v.v_id ~off data
-
-let truncate v ~len =
-  let* () = use v ~op:"truncate" in
-  v.v_mount.m_pfs.pfs_truncate v.v_id ~len
 
 let rename ~src ~dst src_name dst_name =
   let* () = use src ~op:"rename" in

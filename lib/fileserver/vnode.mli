@@ -17,20 +17,17 @@ type t
    mirror lifecycle events into; [None] disables the mirroring. *)
 val make_mount :
   id:int ->
-  point:string ->
   space:(unit -> (Check.t * int) option) ->
   Fs_types.pfs ->
   mount
 
 val mount_id : mount -> int
-val mount_point : mount -> string
 val limits : mount -> Fs_types.format_limits
 val pfs : mount -> Fs_types.pfs
 
 val mount : t -> mount
 val id : t -> Fs_types.file_id
 val is_dir : t -> bool
-val refs : t -> int
 val reclaimed : t -> bool
 
 (* Intern the vnode for a file id, creating it on first sight.
@@ -39,7 +36,6 @@ val reclaimed : t -> bool
 val intern : mount -> Fs_types.file_id -> t
 val find : mount -> Fs_types.file_id -> t option
 val root : mount -> t
-val interned : mount -> int
 
 (* Union-semantics bookkeeping: true the first time this folded name is
    seen on the mount, so a compromise counts once per distinct name. *)
@@ -56,9 +52,6 @@ val reclaim : mount -> Fs_types.file_id -> unit
    the checker sweeps for references nobody dropped. *)
 val reclaim_all : mount -> unit
 
-(* Reclaim guard + checker mirror shared by every operation below. *)
-val use : t -> op:string -> (unit, Fs_types.fs_error) result
-
 val stat : t -> (Fs_types.stat, Fs_types.fs_error) result
 val lookup : t -> string -> (Fs_types.file_id, Fs_types.fs_error) result
 
@@ -74,7 +67,6 @@ val read_paged :
   ((int * int * bytes) option, Fs_types.fs_error) result
 
 val write : t -> off:int -> bytes -> (int, Fs_types.fs_error) result
-val truncate : t -> len:int -> (unit, Fs_types.fs_error) result
 
 val rename :
   src:t -> dst:t -> string -> string -> (unit, Fs_types.fs_error) result

@@ -149,5 +149,3 @@ let memory_footprint_bytes t =
   runtime_bytes t.st + t.object_bytes
   + (List.length t.classes
      * match t.st with Fine_grained -> 512 | Coarse -> 64)
-
-let text_region t = t.text

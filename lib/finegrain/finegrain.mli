@@ -57,5 +57,3 @@ val memory_footprint_bytes : t -> int
 (** Object headers + wrapper state + vtables + the language runtime
     itself (which the paper found "consumed considerable amounts of
     memory"). *)
-
-val text_region : t -> Machine.Layout.region

@@ -12,14 +12,8 @@
 
 type policy
 
-val default_cap_factor : int
-(** 64: without an explicit [cap] the schedule saturates at
-    [base * 64]. *)
-
 val policy : ?cap:int -> ?seed:int -> base:int -> unit -> policy
 
-val raw_delay : policy -> attempt:int -> int
-(** The capped exponential alone (attempt is 1-based), without jitter. *)
-
 val delay : policy -> attempt:int -> int
-(** [raw_delay] plus the seeded jitter for this attempt. *)
+(** The capped exponential for this attempt (1-based) plus its seeded
+    jitter. *)

@@ -3,7 +3,10 @@
     The simulation is uniprocessor, but the interfaces — host info,
     default processor set, set creation and task assignment — are kept so
     that the system inventory and the scheduler-facing API match the
-    paper's component list. *)
+    paper's component list.
+
+    Figure 1 facility: its exported values stay even where nothing in the
+    tree calls them yet. *)
 
 open Ktypes
 

@@ -3,7 +3,10 @@
     Provides what the paper lists: mapping of I/O ports and memory into a
     driver's address space, loading of interrupt handlers, interrupt
     vectoring/revectoring and reflection to user-level device drivers, and
-    DMA channel management. *)
+    DMA channel management.
+
+    Figure 1 facility: its exported values stay even where nothing in the
+    tree calls them yet. *)
 
 open Ktypes
 

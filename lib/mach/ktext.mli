@@ -22,13 +22,8 @@ type chunk
 
 val create : Machine.t -> t
 
-val machine : t -> Machine.t
-
 val text : t -> Machine.Layout.region
 (** Core kernel text. *)
-
-val ipc_text : t -> Machine.Layout.region
-(** The Mach 3.0 [mach_msg] code. *)
 
 val data : t -> Machine.Layout.region
 (** Kernel data structures. *)
@@ -89,13 +84,7 @@ val buffer_stats : t -> buffer_stats
 val buffer_region : t -> Machine.Layout.region
 (** The [kernel.msg-buffers] region itself (bounds checking in tests). *)
 
-val chunk_bytes : chunk -> int
-
 (** {1 Trap path} *)
-
-val user_stub : t -> chunk
-(** The user-level system call stub; fetched from the *caller's* text
-    region, see {!exec_in}. *)
 
 val trap_entry : t -> chunk
 val syscall_dispatch : t -> chunk

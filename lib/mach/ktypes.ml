@@ -92,7 +92,7 @@ type thread = {
   mutable affinity : int;
       (* CPU whose run queue owns this thread; only that CPU mutates the
          thread's scheduling state directly, everyone else sends messages *)
-  mutable bound : bool;  (* pinned to [affinity]: never stolen or migrated *)
+  mutable bound : bool;  (* pinned to [affinity]: never stolen *)
 }
 
 and task = {
@@ -189,9 +189,6 @@ and vm_object = {
   mutable obj_backing : backing_store option;
   mutable obj_shadow_of : vm_object option;  (* COW source *)
   mutable obj_tag : string;  (* diagnostic: who owns this memory *)
-  mutable obj_unmap_hook : (unit -> unit) option;
-      (* run when the last mapping of this object is torn down; the file
-         server uses it to unpin cache pages it has mapped out *)
 }
 
 and page = {

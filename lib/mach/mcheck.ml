@@ -34,16 +34,14 @@ let right_deallocated sys (task : task) (port : port) =
       Check.right_deallocated c ~space ~task:task.task_id ~port:port.port_id)
 
 let dealloc_missing sys (task : task) ~name =
-  on sys (fun c space ->
-      Check.dealloc_missing c ~space ~task:task.task_id ~tname:task.task_name
-        ~name)
+  on sys (fun c _ -> Check.dealloc_missing c ~tname:task.task_name ~name)
 
 let right_moved sys ~from_task ~to_task (port : port) right ~now =
   on sys (fun c space ->
       Check.right_moved c ~space ~from_task:from_task.task_id
-        ~from_name:from_task.task_name ~to_task:to_task.task_id
-        ~to_name:to_task.task_name ~port:port.port_id ~pname:port.pname
-        ~right:(right_of right) ~now:(right_of now))
+        ~to_task:to_task.task_id ~to_name:to_task.task_name
+        ~port:port.port_id ~pname:port.pname ~right:(right_of right)
+        ~now:(right_of now))
 
 let port_destroyed sys (port : port) =
   on sys (fun c space -> Check.port_destroyed c ~space ~port:port.port_id)

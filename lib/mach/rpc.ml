@@ -371,6 +371,3 @@ let serve (sys : Sched.t) ?beat port handler =
         end
   in
   next ()
-
-let waiting_servers port = Queue.length port.waiting_servers
-let pending_calls port = Queue.length port.pending_calls

@@ -61,6 +61,3 @@ val serve :
     hand for the scripted cycles before continuing.  With [beat] the
     loop stamps the server's {!Health.beat} — busy-since on dequeue,
     served count on reply — feeding the supervisor's watchdog. *)
-
-val waiting_servers : port -> int
-val pending_calls : port -> int

@@ -2,13 +2,12 @@ open Ktypes
 
 (* Cross-CPU scheduler messages, after DragonFly BSD's LWKT discipline:
    per-CPU scheduling state is owned by its CPU, and every cross-CPU
-   mutation — wakeup, migration, teardown — travels as an asynchronous
+   mutation — wakeup, teardown — travels as an asynchronous
    message on the target CPU's queue, delivered when that CPU next runs
    its dispatcher.  An IPI is raised only on the queue's empty->nonempty
    transition, so bursts of messages share one interrupt. *)
 type xmsg =
   | X_wake of { xth : thread; xresult : kern_return; sent_at : float }
-  | X_migrate of { xth : thread; sent_at : float }
   | X_teardown of { xtid : int; sent_at : float }
 
 type percpu = {
@@ -41,8 +40,6 @@ type t = {
   mutable switches : int;
   mutable charge_switches : bool;
   mutable fault_count : int;
-  mutable pagein_count : int;
-  mutable pageout_count : int;
   mutable reply_cache_hits : int;  (* Ipc.call reused the cached port *)
   mutable reply_cache_misses : int;  (* Ipc.call had to allocate one *)
   mutable faults : Fault.t option;  (* fault-injection plan, None = off *)
@@ -94,8 +91,6 @@ let create machine ktext =
     switches = 0;
     charge_switches = true;
     fault_count = 0;
-    pagein_count = 0;
-    pageout_count = 0;
     reply_cache_hits = 0;
     reply_cache_misses = 0;
     faults = None;
@@ -104,8 +99,6 @@ let create machine ktext =
     check_space =
       (match Check.installed () with Some c -> Check.new_space c | None -> 0);
   }
-
-let ncpus t = Array.length t.percpu
 
 let enable_checks t chk =
   t.checks <- Some chk;
@@ -269,29 +262,8 @@ let task_halt t task =
   | None -> ()
   | Some c ->
       ignore
-        (Check.task_teardown c ~space:t.check_space ~task:task.task_id
-           ~tname:task.task_name
-          : int);
+        (Check.task_teardown c ~space:t.check_space ~task:task.task_id : int);
       Hashtbl.reset task.namespace
-
-(* Move a thread to another CPU's run queue.  A running thread migrates
-   itself at its next reschedule point; a blocked thread simply re-homes
-   (its eventual wake routes to the new CPU); a runnable thread leaves
-   its old queue now and arrives by message.  Bound threads never
-   move. *)
-let migrate t th ~cpu =
-  if cpu < 0 || cpu >= Array.length t.percpu then
-    invalid_arg "Sched.migrate: no such CPU";
-  if cpu <> th.affinity && not th.bound then
-    match th.state with
-    | Th_terminated -> ()
-    | Th_running | Th_blocked _ -> th.affinity <- cpu
-    | Th_runnable ->
-        dequeue_waiter th t.percpu.(th.affinity).pc_runq;
-        th.affinity <- cpu;
-        post_xmsg t ~target:cpu
-          (X_migrate
-             { xth = th; sent_at = Machine.Cpu.now_exact t.machine.Machine.cpu })
 
 let charge_dispatch t (pc : percpu) th =
   if t.charge_switches then begin
@@ -339,7 +311,6 @@ let handler t th : (unit, unit) Effect.Deep.handler =
               (fun (k : (a, unit) Effect.Deep.continuation) ->
                 th.state <- Th_runnable;
                 th.cont <- Paused_unit k;
-                (* a self-migrated thread deschedules onto its new CPU *)
                 Queue.add th t.percpu.(th.affinity).pc_runq)
         | _ -> None);
   }
@@ -382,10 +353,7 @@ let[@machlint.no_block] drain_ipiq t i =
       let msg = Queue.pop pc.pc_ipiq in
       let sent_at =
         match msg with
-        | X_wake { sent_at; _ }
-        | X_migrate { sent_at; _ }
-        | X_teardown { sent_at; _ } ->
-            sent_at
+        | X_wake { sent_at; _ } | X_teardown { sent_at; _ } -> sent_at
       in
       if Machine.Cpu.now_exact cpu < sent_at then
         Machine.Cpu.advance_to cpu (int_of_float (Float.ceil sent_at));
@@ -397,8 +365,7 @@ let[@machlint.no_block] drain_ipiq t i =
           | Th_blocked _ ->
               xth.wake_result <- xresult;
               xth.state <- Th_runnable;
-              (* enqueue where the thread is homed *now*: a migration
-                 during flight redirects the delivery *)
+              (* enqueue where the thread is homed *now* *)
               Queue.add xth t.percpu.(xth.affinity).pc_runq;
               (match t.checks with
               | None -> ()
@@ -406,10 +373,6 @@ let[@machlint.no_block] drain_ipiq t i =
                   Check.remote_wake_delivered c ~space:t.check_space
                     ~tid:xth.tid)
           | Th_runnable | Th_running | Th_terminated -> ())
-      | X_migrate { xth; _ } -> (
-          match xth.state with
-          | Th_runnable -> enqueue_waiter xth t.percpu.(xth.affinity).pc_runq
-          | Th_blocked _ | Th_running | Th_terminated -> ())
       | X_teardown _ -> ()  (* reap accounting only: cost charged above *)
     done
   end
@@ -573,14 +536,6 @@ let run_until t pred =
           else pred ()
   in
   loop ()
-
-let alive_threads t =
-  List.fold_left
-    (fun acc task ->
-      acc
-      + List.length
-          (List.filter (fun th -> th.state <> Th_terminated) task.threads))
-    0 t.tasks
 
 let total_steals t =
   Array.fold_left (fun acc pc -> acc + pc.pc_steals) 0 t.percpu

@@ -10,7 +10,7 @@
     On a multi-CPU machine ([Config.ncpus] > 1) every CPU owns a run
     queue and a message queue, after DragonFly BSD's LWKT design: only
     the owning CPU mutates a thread's scheduling state, and cross-CPU
-    wakeups, migrations and teardowns travel as asynchronous messages
+    wakeups and teardowns travel as asynchronous messages
     delivered when the target CPU next dispatches (one IPI per
     empty->nonempty queue transition).  The simulation interleaves CPUs
     conservatively: the runnable CPU furthest behind in simulated time
@@ -28,7 +28,6 @@ open Ktypes
 (** Cross-CPU scheduler message (exposed for tests/diagnosis). *)
 type xmsg =
   | X_wake of { xth : thread; xresult : kern_return; sent_at : float }
-  | X_migrate of { xth : thread; sent_at : float }
   | X_teardown of { xtid : int; sent_at : float }
 
 type percpu = {
@@ -61,8 +60,6 @@ type t = {
   mutable switches : int;
   mutable charge_switches : bool;
   mutable fault_count : int;
-  mutable pagein_count : int;
-  mutable pageout_count : int;
   mutable reply_cache_hits : int;  (* Ipc.call reused the cached port *)
   mutable reply_cache_misses : int;  (* Ipc.call had to allocate one *)
   mutable faults : Fault.t option;  (* fault-injection plan, None = off *)
@@ -75,8 +72,6 @@ val create : Machine.t -> Ktext.t -> t
 (** If a checker is globally installed ([Check.install]), the new system
     attaches itself to it; otherwise checking is off and every hook costs
     one [None] match.  One [percpu] slot is built per machine CPU. *)
-
-val ncpus : t -> int
 
 val enable_checks : t -> Check.t -> unit
 (** Attach Machcheck to an already-booted system: registers a fresh id
@@ -97,7 +92,7 @@ val thread_spawn :
   (unit -> unit) -> thread
 (** Create a runnable thread executing the body.  [affinity] homes it on
     that CPU's run queue (default: the CPU the creator is running on);
-    [bound] pins it there — a bound thread is never stolen or migrated. *)
+    [bound] pins it there — a bound thread is never stolen. *)
 
 val self : unit -> thread
 (** Current thread; must be called from inside a thread body.
@@ -115,12 +110,6 @@ val wake : t -> ?result:kern_return -> thread -> unit
     message (plus an IPI if the target's queue was empty) and the owning
     CPU flips the thread runnable at its next dispatch.  No-op for
     running/terminated threads. *)
-
-val migrate : t -> thread -> cpu:int -> unit
-(** Re-home a thread on another CPU.  Runnable threads leave their old
-    queue immediately and arrive by [X_migrate] message; blocked and
-    running threads simply change affinity (taking effect at the next
-    wake or reschedule point).  Bound threads never move. *)
 
 val enqueue_waiter : thread -> thread Queue.t -> unit
 (** Add the thread to a wait queue unless it is already present — a
@@ -144,8 +133,6 @@ val run : t -> unit
 val run_until : t -> (unit -> bool) -> bool
 (** Like {!run} but stops early once the predicate holds between
     dispatches; returns whether the predicate held. *)
-
-val alive_threads : t -> int
 
 val total_steals : t -> int
 (** Work-stealing grabs performed by idle CPUs, summed over CPUs. *)

@@ -4,7 +4,10 @@
     paper calls "too expensive and too hard to program for many uses";
     the IBM Microkernel added kernel-based locks and semaphores (these)
     and memory-based ones (in the personality-neutral runtime, built on
-    these for the contended path). *)
+    these for the contended path).
+
+    Figure 1 facility: its exported values stay even where nothing in the
+    tree calls them yet. *)
 
 open Ktypes
 

@@ -4,7 +4,10 @@
     [thread_self] is the exact trap the paper measured: it returns the
     current thread's port and does nothing else.  [service] is the
     generic shape of an in-kernel service call (used by the monolithic
-    comparator for its file and device system calls). *)
+    comparator for its file and device system calls).
+
+    Figure 1 facility: its exported values stay even where nothing in the
+    tree calls them yet. *)
 
 open Ktypes
 

@@ -126,7 +126,6 @@ type t = {
   no_writer : Bytes.t;
   mutable dir : Bytes.t array;  (* 4 KB block -> leaf *)
   mutable transactions : int;
-  mutable contended : int;  (* transactions that found the bus busy *)
 }
 
 let create ~ncpus (c : Config.t) =
@@ -147,13 +146,10 @@ let create ~ncpus (c : Config.t) =
     no_writer;
     dir = Array.make blocks no_writer;
     transactions = 0;
-    contended = 0;
   }
 
 let ncpus t = t.ncpus
 let transactions t = t.transactions
-let contended t = t.contended
-
 (* Book [bus_cycles] of demand into window [window_index] (the one
    holding the requesting CPU's clock); returns the stall the CPU must
    absorb.  Demand under the window's capacity is free; the overflow a
@@ -169,11 +165,7 @@ let acquire t ~window_index ~bus_cycles =
     let i = Itbl.slot occ window_index in
     let before = occ.Itbl.vals.(i) in
     occ.Itbl.vals.(i) <- before + bus_cycles;
-    let stall =
-      Int.max 0 (before + bus_cycles - capacity) - Int.max 0 (before - capacity)
-    in
-    if stall > 0 then t.contended <- t.contended + 1;
-    stall
+    Int.max 0 (before + bus_cycles - capacity) - Int.max 0 (before - capacity)
   end
 
 (* The leaf of [block], made private (and [dir] grown) for a write. *)
@@ -221,4 +213,3 @@ let reset t =
     (fun leaf -> if leaf != t.no_writer then Bytes.fill leaf 0 (Bytes.length leaf) '\000')
     t.dir;
   t.transactions <- 0;
-  t.contended <- 0

@@ -251,10 +251,6 @@ let write_now t ~block data =
 
 let set_write_interceptor t f = t.interceptor <- f
 
-let power_cut t =
-  t.powered <- false;
-  t.held <- []
-
 let power_restore t = t.powered <- true
 let powered_on t = t.powered
 let writes_applied t = t.writes_applied

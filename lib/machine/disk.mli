@@ -61,11 +61,6 @@ val set_write_interceptor :
     plan.  Consulted at apply time, in FIFO order.  Not consulted for
     [write_now] (mkfs-style tooling) or while powered off. *)
 
-val power_cut : t -> unit
-(** Host-level power loss: freeze the store, discard held writes.
-    Subsequent requests still complete (the simulation keeps running)
-    but writes no longer touch the media. *)
-
 val power_restore : t -> unit
 val powered_on : t -> bool
 

@@ -2,15 +2,13 @@ module Time_map = Map.Make (Int)
 
 type t = {
   mutable events : (unit -> unit) list Time_map.t;  (* reversed lists *)
-  mutable count : int;
 }
 
-let create () = { events = Time_map.empty; count = 0 }
+let create () = { events = Time_map.empty }
 
 let schedule t ~at f =
   let existing = Option.value ~default:[] (Time_map.find_opt at t.events) in
-  t.events <- Time_map.add at (f :: existing) t.events;
-  t.count <- t.count + 1
+  t.events <- Time_map.add at (f :: existing) t.events
 
 let next_time t =
   match Time_map.min_binding_opt t.events with
@@ -23,7 +21,6 @@ let run_due t ~now =
     match Time_map.min_binding_opt t.events with
     | Some (time, fs) when time <= now ->
         t.events <- Time_map.remove time t.events;
-        t.count <- t.count - List.length fs;
         List.iter
           (fun f ->
             incr fired;
@@ -34,5 +31,3 @@ let run_due t ~now =
   in
   loop ();
   !fired
-
-let pending t = t.count

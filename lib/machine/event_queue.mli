@@ -17,5 +17,3 @@ val run_due : t -> now:int -> int
 (** Fire every event with time <= [now], in time order (FIFO within a
     time).  Returns the number of events fired.  Events may schedule
     further events; those are honoured within the same call if due. *)
-
-val pending : t -> int

@@ -15,9 +15,6 @@ let create cpu layout ~width ~height =
   { cpu; region; width; height; pixels = Bytes.make (width * height) '\000'; written = 0 }
 
 let region t = t.region
-let width t = t.width
-let height t = t.height
-
 let check t ~x ~y =
   if x < 0 || y < 0 || x >= t.width || y >= t.height then
     invalid_arg (Printf.sprintf "Framebuffer: (%d,%d) out of bounds" x y)

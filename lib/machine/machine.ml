@@ -25,8 +25,6 @@ type t = {
 }
 
 let disk_irq_line = 14
-let timer_irq_line = 0
-
 let create ?(disk_geometry = Disk.default_geometry) config =
   let bus = Bus.create ~ncpus:config.Config.ncpus config in
   let cpus =
@@ -93,10 +91,6 @@ let advance_to_next_event t =
       Cpu.advance_to t.cpu time;
       let (_ : int) = Event_queue.run_due t.events ~now:(Cpu.now t.cpu) in
       true
-
-let run_events t =
-  let (_ : int) = Event_queue.run_due t.events ~now:(Cpu.now t.cpu) in
-  ()
 
 let pp_inventory ppf t =
   Format.fprintf ppf "@[<v>machine: %a@ %a@]" Config.pp t.config

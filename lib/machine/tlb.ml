@@ -141,7 +141,5 @@ let flush t =
     end
   done
 
-let entries t = Array.length t.pages
-
 let resident t =
   Array.fold_left (fun acc p -> if p >= 0 then acc + 1 else acc) 0 t.pages

@@ -24,5 +24,4 @@ val invalidate : t -> int -> unit
     single-page [invlpg] a remap shootdown issues, not a full flush. *)
 
 val flush : t -> unit
-val entries : t -> int
 val resident : t -> int

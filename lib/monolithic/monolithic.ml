@@ -81,17 +81,12 @@ let boot machine ?(fs_format = `Hpfs) ?(fs_blocks = 8192) () =
 
 let kernel t = t.kernel
 let machine t = t.kernel.Mach.Kernel.machine
-let vfs t = t.vfs
-
 let spawn_process t ~name body =
   let task =
     Mach.Kernel.task_create t.kernel ~name ~personality:"mono" ()
   in
   ignore (Mach.Kernel.thread_spawn t.kernel task ~name body : Mach.Ktypes.thread);
   task
-
-let spawn_thread t task ~name body =
-  ignore (Mach.Kernel.thread_spawn t.kernel task ~name body : Mach.Ktypes.thread)
 
 let run t = Mach.Kernel.run t.kernel
 
@@ -166,7 +161,6 @@ let sys_write t h data =
 
 let sys_seek t h ~pos = syscall t (fun () -> h.of_pos <- max 0 pos)
 
-let sys_stat t ~path = syscall t (fun () -> Fileserver.Vfs.stat t.vfs sem ~path)
 let sys_mkdir t ~path =
   syscall t (fun () ->
       Result.map (fun (_ : file_id) -> ()) (Fileserver.Vfs.mkdir t.vfs sem ~path))

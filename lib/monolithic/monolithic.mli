@@ -22,13 +22,10 @@ val boot :
 
 val kernel : t -> Mach.Kernel.t
 val machine : t -> Machine.t
-val vfs : t -> Fileserver.Vfs.t
 
 val spawn_process :
   t -> name:string -> (unit -> unit) -> Mach.Ktypes.task
 (** A process: one task, one initial thread running the body. *)
-
-val spawn_thread : t -> Mach.Ktypes.task -> name:string -> (unit -> unit) -> unit
 
 val run : t -> unit
 
@@ -42,7 +39,6 @@ val sys_close : t -> handle -> unit
 val sys_read : t -> handle -> bytes:int -> (bytes, fs_error) result
 val sys_write : t -> handle -> bytes -> (int, fs_error) result
 val sys_seek : t -> handle -> pos:int -> unit
-val sys_stat : t -> path:string -> (stat, fs_error) result
 val sys_mkdir : t -> path:string -> (unit, fs_error) result
 val sys_readdir : t -> path:string -> (string list, fs_error) result
 val sys_unlink : t -> path:string -> (unit, fs_error) result

@@ -167,7 +167,6 @@ let registry_messages t = t.registry_msgs
 let cross_shard_accepts t = t.xshard_accepts
 let shard_delivered t = Array.map (fun sh -> sh.sh_delivered) t.shards
 let shard_batches t = Array.map (fun sh -> sh.sh_batches) t.shards
-let shard_backlog t = Array.map (fun sh -> Queue.length sh.sh_rx) t.shards
 let port_shard t ~port = shard_of_port t port
 
 let half_open t =
@@ -476,8 +475,6 @@ let rec udp_recv t s =
       udp_recv t s
 
 let try_recv (_t : t) s = Queue.take_opt s.rx
-let pending s = Queue.length s.rx
-
 (* Ephemeral local ports from 32768, O(1) under churn: each shard owns
    the residue class  { base + shard + k*nshards }  plus a free list of
    its closed ports, so allocation is a list pop or a hint bump — never
@@ -720,8 +717,8 @@ let reincarnate_shard t ~shard =
   Hashtbl.iter
     (fun port owner ->
       if owner = shard && not (Hashtbl.mem sh.sh_sockets port) then
-        chk t (fun c sp ->
-            Check.reinc_rights_residue c ~space:sp ~shard ~port
+        chk t (fun c _ ->
+            Check.reinc_rights_residue c ~shard ~port
               ~pname:(Printf.sprintf "net:%d" port)))
     t.port_owner;
   chk t (fun c sp -> Check.reinc_shard_reborn c ~space:sp ~shard);

@@ -10,7 +10,10 @@
     Guest binaries are synthetic {!guest_op} programs (the real DOS and
     Windows binaries the project reused are not available — see
     DESIGN.md §5); they exercise the same structure: compute bursts, I/O
-    port traps, INT 21h service calls and DPMI mode switches. *)
+    port traps, INT 21h service calls and DPMI mode switches.
+
+    Personality API: its exported calls stay even where no workload
+    calls them yet. *)
 
 open Mach.Ktypes
 

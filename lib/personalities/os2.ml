@@ -106,8 +106,6 @@ let server_task t = t.os2_task
 let server_port t = t.os2_port
 let process_count t = List.length t.processes
 let process_task p = p.p_task
-let memory_of p = p.p_mem
-
 (* find the process record for a freshly created pid *)
 let find_pid t pid = List.find (fun p -> p.p_pid = pid) t.processes
 
@@ -198,5 +196,3 @@ let dos_exit t p =
       (* exit is best-effort: the server may already have torn us down *)
       ()
   | Ok _ | Error _ -> ()
-
-let doscalls_region t = t.doscalls

@@ -9,7 +9,10 @@
     and other servers".  Concretely: file calls go straight from the
     doscalls library to the file server (OS/2 semantics), memory calls
     run entirely in-library on {!Os2_memory}, and only process-lifetime
-    calls cross to the OS/2 server. *)
+    calls cross to the OS/2 server.
+
+    Personality API: its exported calls stay even where no workload
+    calls them yet. *)
 
 open Mach.Ktypes
 
@@ -32,7 +35,6 @@ val create_process :
 
 val process_task : process -> task
 val process_count : t -> int
-val memory_of : process -> Os2_memory.t
 
 (** {1 Doscalls (the in-library API)} *)
 
@@ -60,7 +62,3 @@ val dos_sleep : t -> process -> cycles:int -> unit
 val dos_exit : t -> process -> unit
 (** Terminate the process's task and drop it from the process table
     (an RPC to the server). *)
-
-val doscalls_region : t -> Machine.Layout.region
-(** The shared doscalls library text (one region, coerced into every
-    process). *)

@@ -8,7 +8,10 @@
     OS/2 programs assume commitment), then sub-allocates at byte
     granularity with its own bookkeeping on top.  Experiment E7 compares
     {!os2_committed_bytes} against what the kernel would have kept
-    resident for the same allocation trace under its own lazy rules. *)
+    resident for the same allocation trace under its own lazy rules.
+
+    Personality API: its exported calls stay even where no workload
+    calls them yet. *)
 
 type t
 

@@ -41,8 +41,6 @@ let create (kernel : Mach.Kernel.t) os2 =
   in
   { kernel; os2; pmlib; shared_arena; window_count = 0; delivered = 0 }
 
-let pmlib_region t = t.pmlib
-
 let charge_pm t ?(bytes = 224) () =
   Mach.Ktext.exec_in t.kernel.Mach.Kernel.ktext t.pmlib ~offset:0x300 ~bytes
 
@@ -132,5 +130,4 @@ let gpi_bitblt t w ~src_bytes =
       (String.make cw 'b')
   done
 
-let windows t = t.window_count
 let messages_delivered t = t.delivered

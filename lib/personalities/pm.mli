@@ -5,7 +5,10 @@
     32-bit C.  Window state and message queues live in coerced shared
     memory (same address in every process); drawing drives the screen
     buffer directly from user level.  This is why the paper's graphics
-    benchmarks were competitive on WPOS: they hardly touch the kernel. *)
+    benchmarks were competitive on WPOS: they hardly touch the kernel.
+
+    Personality API: its exported calls stay even where no workload
+    calls them yet. *)
 
 
 type t
@@ -14,8 +17,6 @@ type window
 type message = { msg_code : int; msg_param : int }
 
 val create : Mach.Kernel.t -> Os2.t -> t
-
-val pmlib_region : t -> Machine.Layout.region
 
 val win_create :
   t -> Os2.process -> x:int -> y:int -> w:int -> h:int -> window
@@ -41,5 +42,4 @@ val gpi_bitblt : t -> window -> src_bytes:int -> unit
 (** Blit [src_bytes] of pixel data through the window (clipped to its
     area). *)
 
-val windows : t -> int
 val messages_delivered : t -> int

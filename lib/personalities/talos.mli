@@ -10,7 +10,10 @@
     stateful kernel wrappers the paper blames for extra size and
     complexity), file-system access through the shared file server with
     TalOS semantics, and access to the networking frameworks.  The parts
-    that were never finished raise {!Not_finished} — by design. *)
+    that were never finished raise {!Not_finished} — by design.
+
+    Personality API: its exported calls stay even where no workload
+    calls them yet. *)
 
 exception Not_finished of string
 

@@ -11,7 +11,6 @@ type t = {
   mutable next_block : int;
   mutable pageins : int;
   mutable pageouts : int;
-  mutable wraps : int;
 }
 
 let charge t = Mach.Ktext.exec_in t.kernel.Mach.Kernel.ktext t.text ~offset:0x100 ~bytes:384
@@ -20,10 +19,8 @@ let slot_for t key =
   match Hashtbl.find_opt t.slots key with
   | Some b -> b
   | None ->
-      if t.next_block + blocks_per_page > t.swap_start + t.swap_blocks then begin
+      if t.next_block + blocks_per_page > t.swap_start + t.swap_blocks then
         t.next_block <- t.swap_start;
-        t.wraps <- t.wraps + 1
-      end;
       let b = t.next_block in
       t.next_block <- t.next_block + blocks_per_page;
       Hashtbl.replace t.slots key b;
@@ -49,7 +46,6 @@ let start (kernel : Mach.Kernel.t) ?(swap_blocks = 16384) ?(swap_start = 24576)
       next_block = swap_start;
       pageins = 0;
       pageouts = 0;
-      wraps = 0;
     }
   in
   let disk = kernel.Mach.Kernel.machine.Machine.disk in
@@ -79,4 +75,3 @@ let start (kernel : Mach.Kernel.t) ?(swap_blocks = 16384) ?(swap_start = 24576)
 let pageins t = t.pageins
 let pageouts t = t.pageouts
 let swap_blocks_used t = Hashtbl.length t.slots * blocks_per_page
-let swap_full_events t = t.wraps

@@ -15,5 +15,3 @@ val start : Mach.Kernel.t -> ?swap_blocks:int -> ?swap_start:int -> unit -> t
 val pageins : t -> int
 val pageouts : t -> int
 val swap_blocks_used : t -> int
-val swap_full_events : t -> int
-(** Times the swap allocator wrapped (old slots reclaimed). *)

@@ -5,7 +5,10 @@
     lists and optionally a port, and changes fire registered
     notifications, matching the paper's description: "storing attribute
     information with names, complex naming formats, sophisticated search
-    mechanisms and notifications on name space alteration". *)
+    mechanisms and notifications on name space alteration".
+
+    Figure 1 facility: its exported values stay even where nothing in the
+    tree calls them yet. *)
 
 open Mach.Ktypes
 

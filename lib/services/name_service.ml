@@ -109,8 +109,6 @@ let start kernel runtime =
       : thread);
   t
 
-let port t = t.ns_port
-let task t = t.ns_task
 let db t = t.database
 
 let request_bytes ~path extra = 64 + String.length path + extra

@@ -9,7 +9,10 @@
     E9 measures the difference).
 
     All client operations run over {!Mach.Rpc} from the calling thread's
-    task. *)
+    task.
+
+    Figure 1 facility: its exported values stay even where nothing in the
+    tree calls them yet. *)
 
 open Mach.Ktypes
 
@@ -18,8 +21,6 @@ type t
 val start : Mach.Kernel.t -> Runtime.t -> t
 (** Create the name-server task and its service thread. *)
 
-val port : t -> port
-val task : t -> task
 val db : t -> Name_db.t
 (** Direct database access for tests and for the boot task (which runs
     before RPC plumbing exists). *)

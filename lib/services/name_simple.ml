@@ -30,6 +30,3 @@ let remove t ~name =
     true
   end
   else false
-
-let names t = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.table [])
-let size t = Hashtbl.length t.table

@@ -16,5 +16,3 @@ val register : t -> name:string -> port -> bool
 
 val lookup : t -> name:string -> port option
 val remove : t -> name:string -> bool
-val names : t -> string list
-val size : t -> int

@@ -5,7 +5,10 @@
     threading package and memory-based synchronizers — essential to
     running servers without a UNIX environment underneath (Mach 3.0 could
     not).  One shared text region backs the library in every task, like a
-    real shared library. *)
+    real shared library.
+
+    Figure 1 facility: its exported values stay even where nothing in the
+    tree calls them yet. *)
 
 open Mach.Ktypes
 

@@ -101,8 +101,7 @@ let demote t e =
   t.total_degraded <- t.total_degraded + 1;
   (match (sys t).Mach.Sched.checks with
   | Some c ->
-      Check.reinc_budget_exhausted c ~space:(sys t).Mach.Sched.check_space
-        ~path:e.e_path ~restarts:e.e_restarts
+      Check.reinc_budget_exhausted c ~path:e.e_path ~restarts:e.e_restarts
   | None -> ());
   rebind t e.e_path (degraded_responder t)
 
@@ -346,5 +345,3 @@ let current_port t ~path =
   match find t ~path with
   | Some e when (not e.e_degraded) && not e.e_port.dead -> Some e.e_port
   | Some _ | None -> None
-
-let task t = t.sup_task

@@ -82,5 +82,3 @@ val current_port : t -> path:string -> port option
 (** The currently live service port for a supervised path ([None] while
     dead or once degraded — the degraded responder is reachable only
     through the name service, as clients would find it). *)
-
-val task : t -> task

@@ -225,8 +225,3 @@ let of_monolithic (m : Monolithic.t) =
     }
   in
   api
-
-let elapsed t f =
-  let t0 = Machine.now t.machine in
-  f ();
-  Machine.now t.machine - t0

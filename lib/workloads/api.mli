@@ -39,6 +39,3 @@ type t = {
 
 val of_wpos : Wpos.t -> t
 val of_monolithic : Monolithic.t -> t
-
-val elapsed : t -> (unit -> unit) -> int
-(** Cycles consumed by running the action (usually [spawn]s + [go]). *)

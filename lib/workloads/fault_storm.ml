@@ -35,6 +35,15 @@
 open Mach.Ktypes
 module F = Fileserver
 
+(* Helpers shared with the net-storm and fault-sweep experiments. *)
+let lcg = Net_storm.lcg
+let spawn_on = Net_storm.spawn_on
+let sleep = Net_storm.sleep
+let poll_reply = Net_storm.poll_reply
+let service_path = Fault_sweep.service_path
+let run_session = Fault_sweep.run_session
+let fail_fs = Fault_sweep.fail_fs
+
 type point = {
   fp_scenario : string;
   fp_ops : int;  (* operations attempted (or packets injected) *)
@@ -93,8 +102,6 @@ let base scenario =
 let config ~ncpus =
   Machine.Config.with_ncpus Machine.Config.pentium_133 ~n:ncpus
 
-let lcg s = ((s * 1103515245) + 12345) land 0x3fffffff
-
 (* --- op ledger: completion-stamped outcomes vs fault windows -------------- *)
 
 type ledger = { mutable lg : (int * bool) list }
@@ -141,36 +148,6 @@ let with_availability p l windows ~wall =
     fp_windows = List.length windows;
     fp_mttr = mean_window windows;
   }
-
-let spawn_on k task name ~cpu body =
-  ignore
-    (Mach.Kernel.thread_spawn k task ~name ~affinity:cpu ~bound:true body
-      : thread)
-
-let sleep sys cycles =
-  ignore (Mach.Clock.sleep_for sys ~cycles : kern_return)
-
-(* Poll for an echo reply with a bounded budget, draining duplicates left
-   by earlier retries of the same operation. *)
-let poll_reply sys net s ~polls ~gap =
-  let rec go n =
-    match Netserver.try_recv net s with
-    | Some _ ->
-        let rec drain () =
-          match Netserver.try_recv net s with
-          | Some _ -> drain ()
-          | None -> ()
-        in
-        drain ();
-        true
-    | None ->
-        if n = 0 then false
-        else begin
-          sleep sys gap;
-          go (n - 1)
-        end
-  in
-  go polls
 
 (* --- shard-golden: open-loop storm, untouched shards byte-identical ------- *)
 
@@ -331,39 +308,6 @@ let shard_storm ~victim_ops () =
 
 (* --- fs-crash / fs-wedge: the health-supervised file server --------------- *)
 
-let service_path = "/services/file"
-
-let fail_fs e = failwith (F.Fs_types.fs_error_to_string e)
-
-(* One edit session, as fault-sweep runs it: any step may come back
-   [E_bad_handle] after a crash-and-restart (the open-file table is
-   lost), so the session restarts from the open a bounded number of
-   times. *)
-let run_session fs sem ~path =
-  let ( let* ) r f = match r with Ok x -> f x | Error e -> Error e in
-  let once () =
-    let* h = F.File_server.Client.open_ fs sem ~path ~create:true () in
-    let* _n = F.File_server.Client.write fs h (Bytes.make 256 's') in
-    F.File_server.Client.seek fs h ~pos:0;
-    let rec reads n =
-      if n = 0 then Ok ()
-      else
-        let* _data = F.File_server.Client.read fs h ~bytes:64 in
-        reads (n - 1)
-    in
-    let* () = reads 4 in
-    F.File_server.Client.close fs h;
-    F.File_server.Client.sync fs;
-    Ok ()
-  in
-  let rec go tries =
-    match once () with
-    | Ok () -> true
-    | Error _ when tries < 3 -> go (tries + 1)
-    | Error _ -> false
-  in
-  go 0
-
 (* The common chassis: boot, mount, supervise with a heartbeat config,
    run [clients]x[sessions] while [configure] installs the scenario's
    fault plan, and stop the supervisor when the last session lands (the
@@ -436,7 +380,7 @@ let fs_scenario ~scenario ~seed ~clients ~sessions ~server_threads ~watchdog
              (Mach.Kernel.thread_spawn k client ~name:"edit" (fun () ->
                   for s = 1 to sessions do
                     let path = Printf.sprintf "/os2/c%d_s%d.dat" c s in
-                    let ok = run_session fs sem ~path in
+                    let ok = run_session fs sem ~path ~reopens:(ref 0) in
                     note lg ~at:(Machine.global_now m) ok;
                     incr finished
                   done)

@@ -44,5 +44,17 @@ val run :
     sweep — including every supervised restart — under Machcheck and
     fills [r_check]. *)
 
+val service_path : string
+(** Where the supervised file server is registered. *)
+
+val fail_fs : Fileserver.Fs_types.fs_error -> 'a
+
+val run_session :
+  Fileserver.File_server.t -> Fileserver.Vfs.semantics -> path:string ->
+  reopens:int ref -> bool
+(** One edit session (open, write, four reads, close, sync), restarted
+    from the open at most three times when a step fails; each restart
+    bumps [reopens].  True when a pass completed. *)
+
 val to_json : result -> (string * Json.t) list
 (** The fields of [BENCH_faults.json] after the envelope. *)

@@ -32,9 +32,6 @@ type result = {
           [~checks:true]; [None] otherwise *)
 }
 
-val default_sizes : int list
-(** [[0; 32; 512; 4096; 16384; 65536]] *)
-
 val run :
   ?workers:int -> ?iters:int -> ?sizes:int list -> ?checks:bool -> unit ->
   result

@@ -127,6 +127,8 @@ let spawn_on k task name ~cpu body =
     (Mach.Kernel.thread_spawn k task ~name ~affinity:cpu ~bound:true body
       : thread)
 
+let sleep sys cycles = ignore (Mach.Clock.sleep_for sys ~cycles : kern_return)
+
 let finish ~phase ~ncpus ~clients ~ops ~conns ~lat ~retries ~lost
     ~half_open_peak m net =
   let wall = Machine.global_now m in
@@ -293,7 +295,7 @@ let poll_reply sys net s ~polls ~gap =
     | None ->
         if n = 0 then false
         else begin
-          ignore (Mach.Clock.sleep_for sys ~cycles:gap : kern_return);
+          sleep sys gap;
           go (n - 1)
         end
   in
@@ -328,16 +330,16 @@ let measure_synflood ~ncpus ~flood_syns ~victim_ops =
       | Error e -> failwith e
       | Ok _ -> ());
   spawn_on k task "attacker" ~cpu:(min 1 (ncpus - 1)) (fun () ->
-      ignore (Mach.Clock.sleep_for sys ~cycles:2_000 : kern_return);
+      sleep sys 2_000;
       for i = 1 to flood_syns do
         Netserver.inject_syn net ~src_port:(40_000 + i) ~dst_port:443
           ~conn:(1_000_000 + i);
         if i mod 32 = 0 then
-          ignore (Mach.Clock.sleep_for sys ~cycles:10_000 : kern_return)
+          sleep sys 10_000
       done);
   for cpu = 0 to ncpus - 1 do
     spawn_on k task (Printf.sprintf "victim%d" cpu) ~cpu (fun () ->
-        ignore (Mach.Clock.sleep_for sys ~cycles:2_000 : kern_return);
+        sleep sys 2_000;
         match Netserver.udp_socket net ~port:(20_000 + cpu) with
         | Error e -> failwith e
         | Ok s ->
@@ -400,7 +402,7 @@ let measure_slowloris ~ncpus ~flood_syns ~victim_ops =
           accept_loop 0);
   let waves = 5 in
   spawn_on k task "slowloris" ~cpu:(min 1 (ncpus - 1)) (fun () ->
-      ignore (Mach.Clock.sleep_for sys ~cycles:2_000 : kern_return);
+      sleep sys 2_000;
       let per_wave = max 1 (flood_syns / waves) in
       for w = 0 to waves - 1 do
         for i = 1 to per_wave do
@@ -409,18 +411,18 @@ let measure_slowloris ~ncpus ~flood_syns ~victim_ops =
             ~dst_port:80
             ~conn:(2_000_000 + (w * per_wave) + i)
         done;
-        ignore (Mach.Clock.sleep_for sys ~cycles:150_000 : kern_return)
+        sleep sys 150_000
       done);
   spawn_on k task "reaper" ~cpu:0 (fun () ->
       (* periodic stale-embryo reaping, bounded so the run terminates *)
       for _ = 1 to (waves * 2) + 2 do
-        ignore (Mach.Clock.sleep_for sys ~cycles:100_000 : kern_return);
+        sleep sys 100_000;
         peak := max !peak (Netserver.half_open net);
         ignore (Netserver.reap_half_open net ~older_than:120_000 : int)
       done);
   for cpu = 0 to ncpus - 1 do
     spawn_on k task (Printf.sprintf "victim%d" cpu) ~cpu (fun () ->
-        ignore (Mach.Clock.sleep_for sys ~cycles:4_000 : kern_return);
+        sleep sys 4_000;
         for s = 1 to victim_ops do
           let rec attempt budget =
             if budget = 0 then incr lost
@@ -432,9 +434,7 @@ let measure_slowloris ~ncpus ~flood_syns ~victim_ops =
                     Netserver.established c
                     || n > 0
                        && begin
-                            ignore
-                              (Mach.Clock.sleep_for sys ~cycles:6_000
-                                : kern_return);
+                            sleep sys 6_000;
                             poll (n - 1)
                           end
                   in

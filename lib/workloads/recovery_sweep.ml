@@ -64,8 +64,6 @@ type result = {
   r_check : Check.report option;
 }
 
-let fail_fs e = failwith (F.Fs_types.fs_error_to_string e)
-
 (* --- the scripted workload ----------------------------------------------- *)
 
 (* Deterministic op list: mostly creates-with-content, every fifth op
@@ -172,17 +170,17 @@ let verify (pfs : F.Fs_types.pfs) expect ~lost =
 
 let chk_point (sys : Mach.Sched.t) =
   match sys.Mach.Sched.checks with
-  | Some c -> Check.crash_point_checked c ~space:sys.Mach.Sched.check_space
+  | Some c -> Check.crash_point_checked c
   | None -> ()
 
 let chk_lost (sys : Mach.Sched.t) detail =
   match sys.Mach.Sched.checks with
-  | Some c -> Check.crash_lost_write c ~space:sys.Mach.Sched.check_space detail
+  | Some c -> Check.crash_lost_write c detail
   | None -> ()
 
 let chk_torn (sys : Mach.Sched.t) detail =
   match sys.Mach.Sched.checks with
-  | Some c -> Check.crash_torn_state c ~space:sys.Mach.Sched.check_space detail
+  | Some c -> Check.crash_torn_state c detail
   | None -> ()
 
 (* --- one system per point ------------------------------------------------- *)
@@ -204,7 +202,7 @@ let boot_fs fmt =
       | Journalled -> F.Jfs.mount cache ())
     with
     | Ok pfs -> pfs
-    | Error e -> fail_fs e
+    | Error e -> Fault_sweep.fail_fs e
   in
   (m, k, disk, cache, pfs)
 
@@ -334,7 +332,7 @@ let run_latency_point ~ops =
           match F.Jfs.last_recovery cache2 with
           | Some r -> rv := r
           | None -> ())
-      | Error e -> fail_fs e);
+      | Error e -> Fault_sweep.fail_fs e);
       t1 := Machine.now m);
   {
     lt_ops = ops;

@@ -17,6 +17,23 @@ let contains hay needle =
 let find_kind rep kind =
   List.filter (fun f -> f.Check.f_kind = kind) rep.Check.rep_findings
 
+(* Every report a case inspects is cross-checked first: the finding
+   counters add up to the finding list less the informational
+   budget-exhausted entries, and no counter key repeats. *)
+let cross_checked rep =
+  let keys = List.map (fun (k, _, _) -> k) rep.Check.rep_counters in
+  Alcotest.(check int) "counter keys are unique" (List.length keys)
+    (List.length (List.sort_uniq compare keys));
+  Alcotest.(check int) "finding counters match the finding list"
+    (List.length
+       (List.filter
+          (fun f -> f.Check.f_kind <> "budget-exhausted")
+          rep.Check.rep_findings))
+    (Check.total_findings rep);
+  rep
+
+let report chk = cross_checked (Check.report chk)
+
 let checked_kernel () =
   let k = Test_util.kernel_on () in
   let chk = Check.create () in
@@ -33,7 +50,7 @@ let test_leaked_right () =
   ignore (Mach.Port.insert_right sys user p Send_right : int);
   Mach.Port.destroy sys p;
   (* the receive right died with the port; [user]'s send right dangles *)
-  let rep = Check.report chk in
+  let rep = report chk in
   Alcotest.(check int) "one leak" 1 (Check.count rep "leaked_rights");
   Alcotest.(check int) "user still shadows one right" 1
     (Mach.Mcheck.dead_rights sys user);
@@ -57,7 +74,7 @@ let test_double_free () =
     (Mach.Port.deallocate_right sys user name = Kern_success);
   Alcotest.(check bool) "second dealloc rejected" true
     (Mach.Port.deallocate_right sys user name = Kern_invalid_name);
-  let rep = Check.report chk in
+  let rep = report chk in
   Alcotest.(check int) "one double-free" 1
     (Check.count rep "right_double_frees");
   match find_kind rep "double-free" with
@@ -76,7 +93,7 @@ let test_downgrade () =
   let p = Mach.Port.allocate sys ~receiver:owner ~name:"p" in
   ignore (Mach.Port.insert_right sys owner p Send_once_right : int);
   Alcotest.(check int) "kernel upgrade-only insert is clean" 0
-    (Check.count (Check.report chk) "right_downgrades");
+    (Check.count (report chk) "right_downgrades");
   (* ...and the checker is what would catch a kernel regressing it:
      shadow a port space whose second insert records a weaker right. *)
   let bad = Check.create () in
@@ -85,7 +102,7 @@ let test_downgrade () =
     ~right:Check.R_receive ~now:Check.R_receive;
   Check.right_inserted bad ~space ~task:7 ~tname:"victim" ~port:9 ~pname:"cap"
     ~right:Check.R_send_once ~now:Check.R_send_once;
-  let rep = Check.report bad in
+  let rep = report bad in
   Alcotest.(check int) "downgrade detected" 1
     (Check.count rep "right_downgrades");
   match find_kind rep "downgrade" with
@@ -111,7 +128,7 @@ let[@machlint.allow "lock-order"] test_mutex_abba_cycle () =
       Mach.Sched.yield ();
       ignore (Mach.Sync.mutex_lock sys m1 : kern_return));
   Mach.Kernel.run k;
-  let rep = Check.report chk in
+  let rep = report chk in
   Alcotest.(check int) "one wait cycle" 1 (Check.count rep "wait_cycles");
   Alcotest.(check int) "both threads still in the graph" 2
     (Check.blocked_count chk);
@@ -139,7 +156,7 @@ let test_self_rpc_cycle () =
   Test_util.spawn k cl "caller" (fun () ->
       ignore (Mach.Rpc.call sys p (simple_message ())));
   Mach.Kernel.run k;
-  let rep = Check.report chk in
+  let rep = report chk in
   Alcotest.(check int) "self-call cycle" 1 (Check.count rep "wait_cycles");
   match find_kind rep "wait-cycle" with
   | [ f ] ->
@@ -168,7 +185,7 @@ let test_port_death_clears_edges () =
   Alcotest.(check bool) "receiver woken by the dying port" true !woken;
   Alcotest.(check int) "no stale wait-for edges" 0 (Check.blocked_count chk);
   Alcotest.(check int) "and no findings" 0
-    (Check.total_findings (Check.report chk))
+    (Check.total_findings (report chk))
 
 let test_fault_kill_clears_edges () =
   (* a server crash injected mid-run wakes the blocked client with
@@ -195,7 +212,7 @@ let test_fault_kill_clears_edges () =
   Alcotest.(check int) "no stale wait-for edges after the kill" 0
     (Check.blocked_count chk);
   Alcotest.(check int) "no cycle findings" 0
-    (Check.count (Check.report chk) "wait_cycles")
+    (Check.count (report chk) "wait_cycles")
 
 let test_wrong_holder_unlock_audited () =
   let k, sys, chk = checked_kernel () in
@@ -223,7 +240,7 @@ let test_wrong_holder_unlock_audited () =
   Alcotest.(check string) "thief acquires only after the real unlock" "axrl"
     (Buffer.contents order);
   Alcotest.(check int) "graph drained" 0 (Check.blocked_count chk);
-  Alcotest.(check int) "no findings" 0 (Check.total_findings (Check.report chk))
+  Alcotest.(check int) "no findings" 0 (Check.total_findings (report chk))
 
 (* --- buffer-lifetime sanitizer: seeded known-bads ------------------------ *)
 
@@ -233,7 +250,7 @@ let test_buffer_double_release () =
   let a = Mach.Ktext.buffer_alloc kt ~bytes:128 in
   Mach.Ktext.buffer_free kt a;
   Mach.Ktext.buffer_free kt a;
-  let rep = Check.report chk in
+  let rep = report chk in
   Alcotest.(check int) "double release detected" 1
     (Check.count rep "buf_double_releases");
   match find_kind rep "double-release" with
@@ -251,7 +268,7 @@ let test_buffer_use_after_release () =
   Mach.Ktext.buffer_use kt a;  (* live: fine *)
   Mach.Ktext.buffer_free kt a;
   Mach.Ktext.buffer_use kt a;  (* retired: a kernel path on a stale handle *)
-  let rep = Check.report chk in
+  let rep = report chk in
   Alcotest.(check int) "use-after-release detected" 1
     (Check.count rep "buf_use_after_release");
   Alcotest.(check int) "no double release" 0
@@ -272,7 +289,7 @@ let test_buffer_clean_traffic () =
       done;
       Mach.Port.destroy sys p);
   Mach.Kernel.run k;
-  let rep = Check.report chk in
+  let rep = report chk in
   Alcotest.(check bool) "buffers were shadowed" true
     (Check.count rep "buffers_shadowed" > 50);
   Alcotest.(check int) "no buffer findings" 0
@@ -294,7 +311,7 @@ let[@machlint.allow "port-linearity"] test_remap_double_move () =
       (* the range was donated; moving it again ships pages the task no
          longer owns *)
       ignore (Mach.Vm.remap_move sys ~src_task:src ~addr:a ~bytes ~dst_task:dst : int));
-  let rep = Check.report chk in
+  let rep = report chk in
   Alcotest.(check int) "two moves recorded" 2 (Check.count rep "remap_moves");
   Alcotest.(check int) "one double move" 1 (Check.count rep "double_moves");
   match find_kind rep "double-move" with
@@ -315,7 +332,7 @@ let[@machlint.allow "port-linearity"] test_remap_write_after_move () =
       ignore (Mach.Vm.remap_move sys ~src_task:src ~addr:a ~bytes ~dst_task:dst : int);
       (* the sender scribbles on the range it just donated *)
       Mach.Vm.touch sys src ~addr:a ~write:true ~bytes:8 ());
-  let rep = Check.report chk in
+  let rep = report chk in
   Alcotest.(check int) "one write-after-move" 1
     (Check.count rep "write_after_move");
   (match find_kind rep "write-after-move" with
@@ -337,7 +354,7 @@ let[@machlint.allow "port-linearity"] test_remap_write_after_move () =
       let b = Mach.Vm.allocate sys2 src2 ~bytes () in
       Mach.Vm.touch sys2 src2 ~addr:b ~write:true ~bytes ());
   Alcotest.(check int) "cleared range is silent" 0
-    (Check.count (Check.report chk2) "write_after_move")
+    (Check.count (report chk2) "write_after_move")
 
 let test_remap_mapout_eviction () =
   let k, sys, chk = checked_kernel () in
@@ -353,7 +370,7 @@ let test_remap_mapout_eviction () =
       match F.Block_cache.pool_acquire cache ~pages:16 ~pin:false with
       | Some _ -> ()
       | None -> Alcotest.fail "wrapping acquire failed");
-  let rep = Check.report chk in
+  let rep = report chk in
   Alcotest.(check int) "one unpinned eviction" 1
     (Check.count rep "mapout_evictions");
   (match find_kind rep "mapout-eviction" with
@@ -377,7 +394,7 @@ let test_remap_mapout_eviction () =
       | Some _ -> Alcotest.fail "whole-ring acquire stole a pinned page"
       | None -> ());
   Alcotest.(check int) "pin held: no finding" 0
-    (Check.count (Check.report chk2) "mapout_evictions");
+    (Check.count (report chk2) "mapout_evictions");
   Alcotest.(check int) "one page still pinned" 1 (F.Block_cache.pool_pinned cache2)
 
 let test_remap_zero_copy_clean () =
@@ -412,7 +429,7 @@ let test_remap_zero_copy_clean () =
       Alcotest.(check int) "round trip length" 8192 (Bytes.length got);
       F.File_server.Client.close fs h);
   ignore sys;
-  let rep = Check.report chk in
+  let rep = report chk in
   Alcotest.(check bool) "donation observed" true
     (Check.count rep "remap_moves" >= 1);
   Alcotest.(check int) "zero findings" 0 (Check.total_findings rep)
@@ -486,7 +503,7 @@ let test_restart_zero_residual_rights () =
      only entries the server task still shadows name live ports *)
   Alcotest.(check int) "dead incarnation holds zero rights" 0
     (Mach.Mcheck.dead_rights sys fs_task);
-  let rep = Check.report chk in
+  let rep = report chk in
   Alcotest.(check int) "no leaks anywhere after crash+restart" 0
     (Check.count rep "leaked_rights");
   Alcotest.(check int) "no findings at all" 0 (Check.total_findings rep);
@@ -511,7 +528,7 @@ let test_table1_micro_clean () =
            ~native spec
           : Workloads.Table1.row);
       ignore (Workloads.Micro.table2 ~iters:20 ()));
-  let rep = Check.report chk in
+  let rep = report chk in
   Alcotest.(check int) "table1+micro: zero findings" 0
     (Check.total_findings rep);
   Alcotest.(check bool) "rights traffic was watched" true
@@ -538,6 +555,7 @@ let test_stress_workloads_clean_and_json () =
     | Some r -> r
     | None -> Alcotest.fail "fault-sweep ran without a checker"
   in
+  let rep_ipc = cross_checked rep_ipc and rep_flt = cross_checked rep_flt in
   Alcotest.(check int) "ipc-stress: zero findings" 0
     (Check.total_findings rep_ipc);
   Alcotest.(check int) "fault-sweep: zero findings" 0

@@ -274,7 +274,7 @@ let test_sharded_tcp_and_checker_clean () =
            0 (Netserver.shard_delivered net)
          > 1);
       checkb "every packet processed by some shard" true (sum > 0);
-      let r = Check.report chk in
+      let r = Test_check.report chk in
       checkb "touches observed" true (Check.count r "net_touches" > 0);
       checki "no shard crossings" 0 (Check.count r "net_shard_crossings");
       checki "no findings at all" 0 (Check.total_findings r))
@@ -287,7 +287,7 @@ let test_seeded_shard_crossing_fires () =
   Check.net_socket_home chk ~space:sp ~sock:1 ~shard:0;
   Check.net_touched chk ~space:sp ~sock:1 ~home:0 ~shard:0;
   Check.net_touched chk ~space:sp ~sock:1 ~home:0 ~shard:2;
-  let r = Check.report chk in
+  let r = Test_check.report chk in
   checki "one crossing" 1 (Check.count r "net_shard_crossings");
   checki "one finding" 1 (Check.total_findings r);
   match r.Check.rep_findings with

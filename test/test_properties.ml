@@ -281,7 +281,7 @@ let rights_conservation =
                        (Mach.Ktypes.simple_message ())))
             ops);
       Mach.Kernel.run k;
-      let rep = Check.report chk in
+      let rep = Test_check.report chk in
       (* conservation: the shadow agrees with every namespace exactly, and
          nothing was freed twice or weakened *)
       List.for_all

@@ -391,7 +391,7 @@ let test_sup_budget_degraded () =
     (S.Supervisor.current_port sup ~path = None);
   Alcotest.(check bool) "fast fail under 100k cycles" true
     (!fastfail >= 0 && !fastfail < 100_000);
-  let rep = Check.report chk in
+  let rep = Test_check.report chk in
   Alcotest.(check int) "budget-exhausted finding recorded" 1
     (Check.count rep "reinc_budget_exhausted");
   Alcotest.(check int) "demotion by policy is not a failure" 0

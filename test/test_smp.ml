@@ -169,7 +169,7 @@ let[@machlint.allow "lock-order"] test_cross_cpu_deadlock_annotated () =
          ignore (Mach.Sync.mutex_lock sys m1 : kern_return))
       : thread);
   Mach.Kernel.run k;
-  let rep = Check.report chk in
+  let rep = Test_check.report chk in
   checki "one wait cycle" 1 (Check.count rep "wait_cycles");
   match
     List.filter

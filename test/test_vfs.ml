@@ -330,7 +330,7 @@ let test_checker_use_after_reclaim () =
       Alcotest.(check (result unit err))
         "op fails" (Error E_bad_handle)
         (Result.map (fun _ -> ()) (Vnode.stat v)));
-  let rep = Check.report chk in
+  let rep = Test_check.report chk in
   Alcotest.(check int) "one use-after-reclaim" 1
     (Check.count rep "vnode_use_after_reclaim");
   Alcotest.(check bool) "finding names the vnode checker" true
@@ -346,7 +346,7 @@ let test_checker_leaked_refs () =
       Vnode.ref_ v;
       (* crash recovery sweeps: the reference was never dropped *)
       ignore (Vfs.recover vfs : recover_report));
-  let rep = Check.report chk in
+  let rep = Test_check.report chk in
   Alcotest.(check int) "one leaked reference" 1 (Check.count rep "vnode_leaks")
 
 let test_checker_clean_lifecycle () =
@@ -364,7 +364,7 @@ let test_checker_clean_lifecycle () =
       (* post-recovery, the volume works and refills the cache *)
       ignore (ok "recreate" (Vfs.create_file vfs sem ~path:"/hpfs/c.dat"));
       ignore (ok "stat" (Vfs.stat vfs sem ~path:"/hpfs/c.dat")));
-  let rep = Check.report chk in
+  let rep = Test_check.report chk in
   Alcotest.(check int) "no findings" 0 (Check.total_findings rep)
 
 (* --- the vfs-walk workload under the checker -------------------------------- *)
