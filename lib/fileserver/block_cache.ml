@@ -99,36 +99,50 @@ let charge_data t block ~write =
 let in_thread (t : t) =
   Option.is_some t.kernel.Mach.Kernel.sys.Mach.Sched.current
 
+(* Make room for one block.  When the cache is full the LRU victim is
+   written back if dirty, unlinked, and returned so its record and
+   buffer can be reused in place; otherwise the result is the sentinel. *)
 let evict_if_full t =
-  if Hashtbl.length t.slots >= t.capacity then begin
-    let victim = t.lru.prev in
-    if victim != t.lru then begin
-      if victim.dirty then begin
-        t.writebacks <- t.writebacks + 1;
-        if in_thread t then
-          Machine.Disk.write t.disk ~block:victim.s_block
-            (Bytes.copy victim.data) (fun () -> ())
-        else Machine.Disk.write_now t.disk ~block:victim.s_block
-            (Bytes.copy victim.data)
-      end;
-      unlink victim;
-      Hashtbl.remove t.slots victim.s_block
-    end
+  let victim = t.lru.prev in
+  if Hashtbl.length t.slots >= t.capacity && victim != t.lru then begin
+    if victim.dirty then begin
+      t.writebacks <- t.writebacks + 1;
+      if in_thread t then
+        Machine.Disk.write t.disk ~block:victim.s_block
+          (Bytes.copy victim.data) (fun () -> ())
+      else Machine.Disk.write_now t.disk ~block:victim.s_block
+          (Bytes.copy victim.data)
+    end;
+    unlink victim;
+    Hashtbl.remove t.slots victim.s_block;
+    victim
   end
+  else t.lru
 
-let insert t block data ~dirty =
+(* Cache [block] as the most recent slot, its contents the block at
+   [off] in [src]. *)
+let install t block src ~off ~dirty =
+  let reused = evict_if_full t in
   let s =
-    { s_block = block; data; dirty; prev = t.lru; next = t.lru }
+    if reused == t.lru then
+      { s_block = block; data = Bytes.create (block_size t); dirty;
+        prev = t.lru; next = t.lru }
+    else begin
+      reused.s_block <- block;
+      reused.dirty <- dirty;
+      reused
+    end
   in
+  Bytes.blit src off s.data 0 (block_size t);
   push_front t s;
   Hashtbl.replace t.slots block s
 
-let disk_read_blocking t block =
+let disk_read_blocking t ~block ~count =
   if in_thread t then begin
     let sys = t.kernel.Mach.Kernel.sys in
     let th = Mach.Sched.self () in
     let result = ref None in
-    Machine.Disk.read t.disk ~block ~count:1 (fun data ->
+    Machine.Disk.read t.disk ~block ~count (fun data ->
         result := Some data;
         Mach.Sched.wake sys th);
     let rec wait () =
@@ -140,9 +154,17 @@ let disk_read_blocking t block =
     in
     wait ()
   end
-  else Machine.Disk.read_now t.disk ~block ~count:1
+  else Machine.Disk.read_now t.disk ~block ~count
 
-let read t block =
+let rec first_of_run t ~lo b =
+  if b > lo && not (Hashtbl.mem t.slots (b - 1)) then first_of_run t ~lo (b - 1)
+  else b
+
+let rec last_of_run t ~hi b =
+  if b < hi && not (Hashtbl.mem t.slots (b + 1)) then last_of_run t ~hi (b + 1)
+  else b
+
+let read_in t block ~lo ~hi =
   charge_lookup t;
   match Hashtbl.find_opt t.slots block with
   | Some slot ->
@@ -152,11 +174,28 @@ let read t block =
       Bytes.copy slot.data
   | None ->
       t.misses <- t.misses + 1;
-      let data = disk_read_blocking t block in
-      evict_if_full t;
-      insert t block (Bytes.copy data) ~dirty:false;
+      let bs = block_size t in
+      let first = first_of_run t ~lo block and last = last_of_run t ~hi block in
+      let data = disk_read_blocking t ~block:first ~count:(last - first + 1) in
+      (* the neighbours first, so the block asked for is the most recent;
+         any block cached while the disk was busy is newer than the media *)
+      for b = first to last do
+        if b <> block && not (Hashtbl.mem t.slots b) then
+          install t b data ~off:((b - first) * bs) ~dirty:false
+      done;
+      let data =
+        match Hashtbl.find_opt t.slots block with
+        | Some slot ->
+            touch t slot;
+            Bytes.copy slot.data
+        | None ->
+            install t block data ~off:((block - first) * bs) ~dirty:false;
+            if first = last then data else Bytes.sub data ((block - first) * bs) bs
+      in
       charge_data t block ~write:false;
       data
+
+let read t block = read_in t block ~lo:block ~hi:block
 
 let write t block data =
   if Bytes.length data <> block_size t then
@@ -166,25 +205,29 @@ let write t block data =
   match Hashtbl.find_opt t.slots block with
   | Some slot ->
       t.hits <- t.hits + 1;
-      slot.data <- Bytes.copy data;
+      Bytes.blit data 0 slot.data 0 (Bytes.length data);
       slot.dirty <- true;
       touch t slot
   | None ->
       t.misses <- t.misses + 1;
-      evict_if_full t;
-      insert t block (Bytes.copy data) ~dirty:true
+      install t block data ~off:0 ~dirty:true
 
+(* Write back every dirty block in ascending block order, so that runs of
+   neighbouring blocks reach the disk queue back to back and merge into
+   one transfer. *)
 let flush t =
-  Hashtbl.iter
-    (fun block slot ->
-      if slot.dirty then begin
-        slot.dirty <- false;
-        t.writebacks <- t.writebacks + 1;
-        if in_thread t then
-          Machine.Disk.write t.disk ~block (Bytes.copy slot.data) (fun () -> ())
-        else Machine.Disk.write_now t.disk ~block (Bytes.copy slot.data)
-      end)
-    t.slots
+  let dirty =
+    Hashtbl.fold (fun _ slot acc -> if slot.dirty then slot :: acc else acc) t.slots []
+  in
+  List.iter
+    (fun slot ->
+      slot.dirty <- false;
+      t.writebacks <- t.writebacks + 1;
+      if in_thread t then
+        Machine.Disk.write t.disk ~block:slot.s_block (Bytes.copy slot.data)
+          (fun () -> ())
+      else Machine.Disk.write_now t.disk ~block:slot.s_block (Bytes.copy slot.data))
+    (List.sort (fun a b -> Int.compare a.s_block b.s_block) dirty)
 
 (* Blocking barrier: returns once every write submitted so far has
    reached the media (and any reorder-held writes have landed).  Outside
@@ -286,8 +329,8 @@ let pool_acquire t ~pages ~pin =
             Some (p.pool_base + (s * Mach.Ktypes.page_size))
       end
 
-let pool_fill t ~dst block =
-  let data = read t block in
+let pool_fill t ~dst block ~lo ~hi =
+  let data = read_in t block ~lo ~hi in
   Machine.Cpu.store t.kernel.Mach.Kernel.machine.Machine.cpu ~addr:dst
     ~bytes:(block_size t);
   data

@@ -13,13 +13,21 @@ val create : Mach.Kernel.t -> Machine.Disk.t -> ?capacity:int -> unit -> t
 val read : t -> int -> bytes
 (** A fresh copy of the block's contents. *)
 
+val read_in : t -> int -> lo:int -> hi:int -> bytes
+(** [read_in t block ~lo ~hi] is [read t block], except that a miss
+    fetches, in one disk request, the run of uncached blocks around
+    [block] that lies inside [lo..hi] (clustered read).  Blocks already
+    cached, or cached while the request was in flight, are never
+    replaced. *)
+
 val write : t -> int -> bytes -> unit
 (** Install new contents (dirty until evicted/flushed).
     @raise Invalid_argument unless exactly one block long. *)
 
 val flush : t -> unit
-(** Queue write-back of every dirty block (fire-and-forget: the disk
-    services them in order, delaying subsequent misses). *)
+(** Queue write-back of every dirty block in ascending block order
+    (fire-and-forget: the disk services them in order, merging
+    neighbours, and delays subsequent misses). *)
 
 val flush_wait : t -> unit
 (** Durable flush: queue write-back of every dirty block, then block the
@@ -63,9 +71,10 @@ val pool_acquire : t -> pages:int -> pin:bool -> int option
     unmapped or every candidate run holds a pinned page (callers fall
     back to the copy path). *)
 
-val pool_fill : t -> dst:int -> int -> bytes
-(** Read a block through the cache and charge the store that lands it at
-    pool address [dst]; returns the block contents. *)
+val pool_fill : t -> dst:int -> int -> lo:int -> hi:int -> bytes
+(** Read a block through the cache ({!read_in} with window [lo..hi]) and
+    charge the store that lands it at pool address [dst]; returns the
+    block contents. *)
 
 val pool_release : t -> addr:int -> pages:int -> unit
 (** Unpin and forget a mapped-out run (the reply's pages, once the

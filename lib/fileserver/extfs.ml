@@ -116,13 +116,15 @@ let geom_of cfg ~start ~blocks ~inodes =
 
 (* --- block access through the transaction overlay ----------------------- *)
 
-let cache_read t block =
+let cache_read_in t block ~lo ~hi =
   match t.txn with
   | Some ov -> (
       match List.assoc_opt block ov with
       | Some d -> Bytes.copy d
-      | None -> Block_cache.read t.cache block)
-  | None -> Block_cache.read t.cache block
+      | None -> Block_cache.read_in t.cache block ~lo ~hi)
+  | None -> Block_cache.read_in t.cache block ~lo ~hi
+
+let cache_read t block = cache_read_in t block ~lo:block ~hi:block
 
 let cache_write t block data =
   match t.txn with
@@ -290,13 +292,6 @@ let grow_one t (i : inode) =
           write_inode t i;
           Ok ())
 
-let nth_block t (i : inode) n =
-  let rec walk n = function
-    | [] -> None
-    | (s, l) :: rest -> if n < l then Some (s + n) else walk (n - l) rest
-  in
-  Option.map (fun d -> t.g.start + t.g.data_start + d) (walk n i.i_extents)
-
 let blocks_held (i : inode) =
   List.fold_left (fun acc (_, l) -> acc + l) 0 i.i_extents
 
@@ -315,16 +310,38 @@ let free_inode t (i : inode) =
 
 (* --- file data ----------------------------------------------------------- *)
 
+(* [f] applied to the disk block of file block [n] and its clustering
+   window: the blocks of [n]'s page that lie in [n]'s extent and before
+   end of file ([n] alone when it is past end of file).  [None] for a
+   hole. *)
+let with_file_block t (i : inode) n f =
+  let per_page = Mach.Ktypes.page_size / block_size in
+  let page_lo = n - (n mod per_page) in
+  let page_hi = Int.min (page_lo + per_page - 1) ((i.i_size - 1) / block_size) in
+  let base = t.g.start + t.g.data_start in
+  let rec walk first = function
+    | [] -> None
+    | (s, l) :: rest ->
+        if n >= first + l then walk (first + l) rest
+        else
+          let disk fb = base + s + (fb - first) in
+          if n > page_hi then Some (f (disk n) ~lo:(disk n) ~hi:(disk n))
+          else
+            Some
+              (f (disk n) ~lo:(disk (Int.max page_lo first))
+                 ~hi:(disk (Int.min page_hi (first + l - 1))))
+  in
+  walk 0 i.i_extents
+
 let read_data t (i : inode) ~off ~len =
   let len = max 0 (min len (i.i_size - off)) in
   let out = Bytes.make len '\000' in
   let rec copy pos =
     if pos < len then begin
       let fpos = off + pos in
-      match nth_block t i (fpos / block_size) with
+      match with_file_block t i (fpos / block_size) (cache_read_in t) with
       | None -> ()  (* hole *)
-      | Some block ->
-          let b = cache_read t block in
+      | Some b ->
           let boff = fpos mod block_size in
           let n = min (block_size - boff) (len - pos) in
           Bytes.blit b boff out pos n;
@@ -351,11 +368,12 @@ let read_paged t (i : inode) ~off ~len =
         let rec fill pos =
           if pos < len then begin
             let fpos = off + pos in
-            (match nth_block t i (fpos / block_size) with
+            (match
+               with_file_block t i (fpos / block_size)
+                 (Block_cache.pool_fill t.cache ~dst:(base + pos))
+             with
             | None -> ()  (* hole: the pool page is already zero *)
-            | Some block ->
-                let b = Block_cache.pool_fill t.cache ~dst:(base + pos) block in
-                Bytes.blit b 0 out pos (min block_size (len - pos)));
+            | Some b -> Bytes.blit b 0 out pos (min block_size (len - pos)));
             fill (pos + block_size)
           end
         in
@@ -375,18 +393,19 @@ let write_data t (i : inode) ~off data =
   let rec copy pos =
     if pos < len then begin
       let fpos = off + pos in
-      match nth_block t i (fpos / block_size) with
+      let boff = fpos mod block_size in
+      let n = min (block_size - boff) (len - pos) in
+      let update block ~lo ~hi =
+        let b =
+          if n = block_size then Bytes.make block_size '\000'
+          else cache_read_in t block ~lo ~hi
+        in
+        Bytes.blit data pos b boff n;
+        cache_write t block b
+      in
+      match with_file_block t i (fpos / block_size) update with
       | None -> assert false
-      | Some block ->
-          let boff = fpos mod block_size in
-          let n = min (block_size - boff) (len - pos) in
-          let b =
-            if n = block_size then Bytes.make block_size '\000'
-            else cache_read t block
-          in
-          Bytes.blit data pos b boff n;
-          cache_write t block b;
-          copy (pos + n)
+      | Some () -> copy (pos + n)
     end
   in
   copy 0;

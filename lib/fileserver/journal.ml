@@ -120,24 +120,32 @@ let parse_slot ~blocks ~slot raw =
 let in_thread (t : t) =
   Option.is_some t.kernel.Mach.Kernel.sys.Mach.Sched.current
 
-let read_slot_blocking t block =
+(* Every ring slot's raw contents.  In a thread the ring comes in one
+   disk request, so recovery pays one positioning cost, not one per slot.
+   Outside a thread (mount at boot) the reads cost nothing, and reading
+   slot by slot avoids one ring-sized host allocation per mount. *)
+let read_ring t =
   if in_thread t then begin
     let sys = t.kernel.Mach.Kernel.sys in
     let th = Mach.Sched.self () in
     let result = ref None in
-    Machine.Disk.read t.disk ~block ~count:1 (fun data ->
+    Machine.Disk.read t.disk ~block:t.start ~count:t.blocks (fun data ->
         result := Some data;
         Mach.Sched.wake sys th);
     let rec wait () =
       match !result with
-      | Some data -> data
+      | Some ring ->
+          let bs = Bytes.length ring / t.blocks in
+          Array.init t.blocks (fun slot -> Bytes.sub ring (slot * bs) bs)
       | None ->
           ignore (Mach.Sched.block "journal-read" : Mach.Ktypes.kern_return);
           wait ()
     in
     wait ()
   end
-  else Machine.Disk.read_now t.disk ~block ~count:1
+  else
+    Array.init t.blocks (fun slot ->
+        Machine.Disk.read_now t.disk ~block:(t.start + slot) ~count:1)
 
 let barrier_sync t =
   if in_thread t then begin
@@ -222,13 +230,8 @@ let rec commit t writes =
    the home cache, and fence the result behind a fresh checkpoint so a
    second crash cannot replay twice over newer state. *)
 let scan_and_replay t =
-  let parsed = Array.make t.blocks P_raw in
-  let raw = Array.make t.blocks Bytes.empty in
-  for slot = 0 to t.blocks - 1 do
-    let data = read_slot_blocking t (t.start + slot) in
-    raw.(slot) <- data;
-    parsed.(slot) <- parse_slot ~blocks:t.blocks ~slot data
-  done;
+  let raw = read_ring t in
+  let parsed = Array.mapi (fun slot data -> parse_slot ~blocks:t.blocks ~slot data) raw in
   let max_seq = ref (-1) in
   let through = ref (-1) in
   Array.iter

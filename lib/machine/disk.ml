@@ -188,33 +188,64 @@ let apply_write t ~block data =
     if t.powered then tick_held t
   end
 
+(* [next] continues [prev]: the same kind of request, starting at the
+   block after [prev]'s last.  Barriers never continue anything. *)
+let continues t prev next =
+  match (prev, next) with
+  | Read a, Read b -> b.block = a.block + a.count
+  | Write a, Write b -> b.block = a.block + (Bytes.length a.data / t.geometry.block_size)
+  | _ -> false
+
+(* The queued requests that continue [prev], taken off the queue head in
+   FIFO order; the first barrier or gap ends the run. *)
+let rec take_run t prev =
+  match Queue.peek_opt t.queue with
+  | Some next when continues t prev next ->
+      ignore (Queue.take t.queue : request);
+      next :: take_run t next
+  | _ -> []
+
+(* Starting [req] also takes every queued request that continues it: the
+   run is one transfer, paying one positioning cost for all its blocks. *)
 let rec start t req =
   t.busy <- true;
-  let done_at = Cpu.now t.cpu + request_cycles t (blocks_of_request t req) in
-  Event_queue.schedule t.events ~at:done_at (fun () -> complete t req)
+  let run = req :: take_run t req in
+  let blocks = List.fold_left (fun n r -> n + blocks_of_request t r) 0 run in
+  let done_at = Cpu.now t.cpu + request_cycles t blocks in
+  Event_queue.schedule t.events ~at:done_at (fun () -> complete t run blocks)
 
-and complete t req =
+(* The end of a transfer: each constituent reaches the media on its own,
+   in FIFO order (so every write passes the interceptor and counts in
+   [writes_applied] as if it had been served alone), then one interrupt
+   runs every constituent's continuation in the same order. *)
+and complete t run blocks =
   let bs = t.geometry.block_size in
-  let finish k =
-    t.served <- t.served + 1;
-    (* DMA moved [blocks] of data across the bus during the transfer *)
-    let words = blocks_of_request t req * bs / 4 in
-    Perf.add_bus_cycles (Cpu.perf t.cpu) (words / 8);
-    t.pending_completion <- Some k;
-    Irq.raise_line t.irq t.line;
-    t.busy <- false;
-    match Queue.take_opt t.queue with None -> () | Some next -> start t next
+  let reach_media = function
+    | Read { block; count; k } ->
+        let data = sub t ~pos:(block * bs) ~len:(count * bs) in
+        fun () -> k data
+    | Write { block; data; k } ->
+        apply_write t ~block data;
+        k
+    | Barrier { k } ->
+        release_held t;
+        k
   in
-  match req with
-  | Read { block; count; k } ->
-      let data = sub t ~pos:(block * bs) ~len:(count * bs) in
-      finish (fun () -> k data)
-  | Write { block; data; k } ->
-      apply_write t ~block data;
-      finish k
-  | Barrier { k } ->
-      release_held t;
-      finish k
+  let k =
+    match run with
+    | [ req ] -> reach_media req
+    | _ ->
+        (* a left fold, so the writes reach the media in FIFO order *)
+        let ks = List.rev (List.fold_left (fun ks r -> reach_media r :: ks) [] run) in
+        fun () -> List.iter (fun k -> k ()) ks
+  in
+  t.served <- t.served + 1;
+  (* DMA moved [blocks] of data across the bus during the transfer *)
+  Perf.add_bus_cycles (Cpu.perf t.cpu) (blocks * bs / 4 / 8);
+  t.pending_completion <- Some k;
+  Irq.raise_line t.irq t.line;
+  t.busy <- false;
+  match Queue.take_opt t.queue with None -> () | Some next -> start t next
 
 let submit t req =
   if t.busy then Queue.add req t.queue else start t req

@@ -2,9 +2,14 @@
 
     Holds real block contents (so the file systems above it have genuine
     on-disk layouts) and models service time as seek + per-block transfer.
-    Requests are serviced one at a time in FIFO order; completion raises
-    the device's interrupt line and then invokes the request's
-    continuation.  DMA transfer bus traffic is charged on completion. *)
+    Requests are serviced in FIFO order.  Starting a request also takes
+    the queued requests of the same kind whose blocks continue it (up to
+    the first barrier or gap) and serves them as one transfer: one
+    positioning cost plus the transfer time of every block.  Each write
+    of the run still reaches the media on its own, in FIFO order.
+    Completion raises the device's interrupt line once and then invokes
+    each request's continuation in order.  DMA transfer bus traffic is
+    charged on completion. *)
 
 type t
 
@@ -69,4 +74,6 @@ val writes_applied : t -> int
     the crash-point index space for recovery enumeration. *)
 
 val requests_served : t -> int
+(** Transfers completed: a run of merged requests counts once. *)
+
 val busy : t -> bool

@@ -139,6 +139,94 @@ let test_block_cache () =
   let on_disk = Machine.Disk.read_now disk ~block:3 ~count:1 in
   Alcotest.(check bytes) "persisted through eviction" (Bytes.make 512 'a') on_disk
 
+(* A clustered read fetches the uncached run around the missed block,
+   inside its window: it stops at a cached (here dirty) block and never
+   reads past [hi]. *)
+let test_block_cache_clustered_read () =
+  let k = Test_util.kernel_on () in
+  let disk = k.Mach.Kernel.machine.Machine.disk in
+  for b = 100 to 115 do
+    Machine.Disk.write_now disk ~block:b (Bytes.make 512 'M')
+  done;
+  let cache = F.Block_cache.create k disk ~capacity:16 () in
+  Test_util.run_in_thread k (fun () ->
+      let misses () = F.Block_cache.misses cache in
+      let read b = Bytes.get (F.Block_cache.read cache b) 0 in
+      F.Block_cache.write cache 103 (Bytes.make 512 'D');
+      let m0 = misses () in
+      Alcotest.(check char) "missed block" 'M'
+        (Bytes.get (F.Block_cache.read_in cache 101 ~lo:100 ~hi:107) 0);
+      Alcotest.(check char) "run below" 'M' (read 100);
+      Alcotest.(check char) "run above" 'M' (read 102);
+      Alcotest.(check int) "one miss for the run" (m0 + 1) (misses ());
+      Alcotest.(check char) "dirty block kept" 'D' (read 103);
+      ignore (read 104 : char);
+      Alcotest.(check int) "run stopped at the cached block" (m0 + 2) (misses ());
+      ignore (F.Block_cache.read_in cache 110 ~lo:110 ~hi:111 : bytes);
+      ignore (read 111 : char);
+      Alcotest.(check int) "window fetched" (m0 + 3) (misses ());
+      ignore (read 112 : char);
+      Alcotest.(check int) "nothing past hi" (m0 + 4) (misses ()))
+
+(* Flush submits dirty blocks in ascending order, so neighbours merge:
+   eight blocks dirtied out of order reach the media in two transfers
+   (the first starts alone on the idle disk) plus the barrier. *)
+let test_block_cache_flush_merges () =
+  let k = Test_util.kernel_on () in
+  let disk = k.Mach.Kernel.machine.Machine.disk in
+  let cache = F.Block_cache.create k disk ~capacity:16 () in
+  Test_util.run_in_thread k (fun () ->
+      List.iter
+        (fun b -> F.Block_cache.write cache b (Bytes.make 512 'f'))
+        [ 205; 201; 207; 200; 203; 206; 202; 204 ];
+      let served = Machine.Disk.requests_served disk in
+      F.Block_cache.flush_wait cache;
+      Alcotest.(check int) "transfers" 3 (Machine.Disk.requests_served disk - served))
+
+(* A block written while a clustered read of it is in flight is newer
+   than the media: the read must not replace it. *)
+let test_block_cache_write_during_clustered_read () =
+  let k = Test_util.kernel_on () in
+  let disk = k.Mach.Kernel.machine.Machine.disk in
+  let cache = F.Block_cache.create k disk ~capacity:16 () in
+  let task = Mach.Kernel.task_create k ~name:"t" () in
+  let reading = ref false and raced = ref false in
+  Test_util.spawn k task "reader" (fun () ->
+      reading := true;
+      ignore (F.Block_cache.read_in cache 120 ~lo:120 ~hi:127 : bytes));
+  Test_util.spawn k task "writer" (fun () ->
+      raced := !reading;
+      F.Block_cache.write cache 123 (Bytes.make 512 'B'));
+  Mach.Kernel.run k;
+  Alcotest.(check bool) "write landed while the read was in flight" true !raced;
+  Test_util.run_in_thread k (fun () ->
+      Alcotest.(check char) "newer contents kept" 'B'
+        (Bytes.get (F.Block_cache.read cache 123) 0);
+      F.Block_cache.flush_wait cache);
+  Alcotest.(check char) "and written back" 'B'
+    (Bytes.get (Machine.Disk.read_now disk ~block:123 ~count:1) 0)
+
+(* A warm hit and a miss that evicts reuse what the cache already holds:
+   neither allocates in the major heap. *)
+let test_block_cache_allocation () =
+  let k = Test_util.kernel_on () in
+  let disk = k.Mach.Kernel.machine.Machine.disk in
+  let cache = F.Block_cache.create k disk ~capacity:4 () in
+  for b = 0 to 3 do
+    ignore (F.Block_cache.read cache b : bytes)
+  done;
+  let major_words f =
+    Gc.minor ();
+    let _, _, major0 = Gc.counters () in
+    f ();
+    let _, _, major1 = Gc.counters () in
+    major1 -. major0
+  in
+  Alcotest.(check (float 0.)) "warm hit" 0.
+    (major_words (fun () -> ignore (F.Block_cache.read cache 3 : bytes)));
+  Alcotest.(check (float 0.)) "miss that evicts" 0.
+    (major_words (fun () -> ignore (F.Block_cache.read cache 9 : bytes)))
+
 (* --- FAT --------------------------------------------------------------------- *)
 
 let test_fat_names () =
@@ -306,6 +394,58 @@ let test_extfs_sparse_and_holes () =
       Alcotest.(check int) "size extends" 3003 st.st_size;
       let got = ok "read hole" (pfs.pfs_read id ~off:0 ~len:4) in
       Alcotest.(check bytes) "holes read as zero" (Bytes.make 4 '\000') got)
+
+(* A file-data read that misses fetches the uncached blocks of its page
+   that share its extent and lie before end of file.  File "a" has two
+   extents (file "b" took the block after a's first three), ends inside
+   block 9 and still holds block 10 past end of file. *)
+let test_extfs_read_window () =
+  let k = Test_util.kernel_on () in
+  let disk = k.Mach.Kernel.machine.Machine.disk in
+  F.Hpfs.mkfs disk ();
+  let cache = F.Block_cache.create k disk () in
+  let fill c = Bytes.make 512 c in
+  let block i = fill (Char.chr (Char.code 'A' + i)) in
+  let blocks lo hi = Bytes.concat Bytes.empty (List.init (hi - lo + 1) (fun i -> block (lo + i))) in
+  Test_util.run_in_thread k (fun () ->
+      let pfs = ok "mount" (F.Hpfs.mount cache ()) in
+      let a = ok "create a" (pfs.pfs_create ~dir:pfs.pfs_root "a" ~is_dir:false) in
+      ignore (ok "a 0-2" (pfs.pfs_write a ~off:0 (blocks 0 2)));
+      let b = ok "create b" (pfs.pfs_create ~dir:pfs.pfs_root "b" ~is_dir:false) in
+      ignore (ok "b" (pfs.pfs_write b ~off:0 (fill 'z')));
+      ignore (ok "a 3-10" (pfs.pfs_write a ~off:1536 (blocks 3 10)));
+      ok "truncate" (pfs.pfs_truncate a ~len:((9 * 512) + 100));
+      F.Block_cache.flush_wait cache;
+      F.Block_cache.invalidate cache;
+      (* the disk block holding some contents, found by scanning the media *)
+      let disk_block contents =
+        let rec scan d =
+          if Bytes.equal (Machine.Disk.read_now disk ~block:d ~count:1) contents then d
+          else scan (d + 1)
+        in
+        scan 0
+      in
+      Alcotest.(check int) "b sits between a's extents" (disk_block (block 2) + 1)
+        (disk_block (fill 'z'));
+      Alcotest.(check int) "a's second extent follows b" (disk_block (fill 'z') + 1)
+        (disk_block (block 3));
+      let misses () = F.Block_cache.misses cache in
+      let read i = ignore (ok "read" (pfs.pfs_read a ~off:(i * 512) ~len:1)) in
+      let expect label extra f =
+        let m = misses () in
+        f ();
+        Alcotest.(check int) label extra (misses () - m)
+      in
+      read 0;
+      expect "rest of the first extent came with block 0" 0 (fun () -> read 1; read 2);
+      expect "the second extent is a new request" 1 (fun () -> read 3);
+      expect "it brought the rest of page 0" 0 (fun () -> List.iter read [ 4; 5; 6; 7 ]);
+      expect "page 1 is a new request" 1 (fun () -> read 8);
+      expect "it brought the partial last block" 0 (fun () -> read 9);
+      expect "b's block was not fetched" 1 (fun () ->
+          ignore (F.Block_cache.read cache (disk_block (fill 'z')) : bytes));
+      expect "nothing past end of file" 1 (fun () ->
+          ignore (F.Block_cache.read cache (disk_block (block 10)) : bytes)))
 
 (* --- VFS / union semantics ------------------------------------------------------ *)
 
@@ -506,6 +646,12 @@ let test_map_file () =
 let suite =
   [
     Alcotest.test_case "block cache" `Quick test_block_cache;
+    Alcotest.test_case "block cache clustered read" `Quick test_block_cache_clustered_read;
+    Alcotest.test_case "block cache flush merges neighbours" `Quick
+      test_block_cache_flush_merges;
+    Alcotest.test_case "block cache write during clustered read" `Quick
+      test_block_cache_write_during_clustered_read;
+    Alcotest.test_case "block cache allocation" `Quick test_block_cache_allocation;
     Alcotest.test_case "map file (external pager)" `Quick test_map_file;
     Alcotest.test_case "pfs matrix: fat" `Quick test_matrix_fat;
     Alcotest.test_case "pfs matrix: hpfs" `Quick test_matrix_hpfs;
@@ -524,6 +670,7 @@ let suite =
       test_booted_machines_collected;
     Alcotest.test_case "extfs rename+truncate" `Quick test_extfs_rename_and_truncate;
     Alcotest.test_case "extfs sparse files" `Quick test_extfs_sparse_and_holes;
+    Alcotest.test_case "extfs clustered read window" `Quick test_extfs_read_window;
     Alcotest.test_case "vfs union semantics" `Quick test_vfs_union_semantics;
     Alcotest.test_case "vfs paths" `Quick test_vfs_paths;
     Alcotest.test_case "file server client" `Quick test_file_server_client;

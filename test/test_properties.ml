@@ -159,6 +159,72 @@ let jfs_roundtrip =
     (fun c -> Fileserver.Jfs.mount c ())
     "jfs write/read round trip at random offsets"
 
+(* --- block cache: last write wins across evictions and clustered reads ---- *)
+
+type bc_op =
+  | Bc_read of int
+  | Bc_read_in of int * int * int  (* block, lo, hi *)
+  | Bc_write of int * char
+  | Bc_flush
+
+(* A 6-slot cache over 32 blocks, so evictions (and slot reuse) happen
+   all the time.  Every read must return the last contents written, and
+   after a durable flush the media must hold them too. *)
+let block_cache_last_write_wins =
+  let nblocks = 32 and base = 100 in
+  let op =
+    let open QCheck.Gen in
+    let block = int_bound (nblocks - 1) in
+    frequency
+      [ (3, map (fun b -> Bc_read b) block);
+        (3, map3 (fun b d u -> Bc_read_in (b, max 0 (b - d), min (nblocks - 1) (b + u)))
+              block (int_bound 8) (int_bound 8));
+        (3, map2 (fun b c -> Bc_write (b, c)) block (map Char.chr (int_range 97 122)));
+        (1, return Bc_flush) ]
+  in
+  QCheck.Test.make ~name:"block cache: last write wins across slot reuse and clustered reads"
+    ~count:40
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 120) op))
+    (fun ops ->
+      let k = Test_util.kernel_on () in
+      let disk = k.Mach.Kernel.machine.Machine.disk in
+      let model = Array.init nblocks (fun b -> Char.chr (65 + b)) in
+      Array.iteri
+        (fun b c -> Machine.Disk.write_now disk ~block:(base + b) (Bytes.make 512 c))
+        model;
+      let cache = Fileserver.Block_cache.create k disk ~capacity:6 () in
+      let holds = ref false in
+      let t = Mach.Kernel.task_create k ~name:"t" () in
+      let is b data = Bytes.equal data (Bytes.make 512 model.(b)) in
+      ignore
+        (Mach.Kernel.thread_spawn k t ~name:"t" (fun () ->
+             let reads_ok =
+               List.for_all
+                 (function
+                   | Bc_read b -> is b (Fileserver.Block_cache.read cache (base + b))
+                   | Bc_read_in (b, lo, hi) ->
+                       is b
+                         (Fileserver.Block_cache.read_in cache (base + b) ~lo:(base + lo)
+                            ~hi:(base + hi))
+                   | Bc_write (b, c) ->
+                       Fileserver.Block_cache.write cache (base + b) (Bytes.make 512 c);
+                       model.(b) <- c;
+                       true
+                   | Bc_flush ->
+                       Fileserver.Block_cache.flush cache;
+                       true)
+                 ops
+             in
+             Fileserver.Block_cache.flush_wait cache;
+             holds := reads_ok)
+          : Mach.Ktypes.thread);
+      Mach.Kernel.run k;
+      !holds
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun b _ -> is b (Machine.Disk.read_now disk ~block:(base + b) ~count:1))
+              model))
+
 (* --- VM: resident pages never exceed the pool; faults are idempotent ------- *)
 
 let vm_residency_bounded =
@@ -356,6 +422,7 @@ let suite =
       fat_names_consistent;
       hpfs_roundtrip;
       jfs_roundtrip;
+      block_cache_last_write_wins;
       vm_residency_bounded;
       malloc_no_overlap;
       rights_conservation;

@@ -352,6 +352,19 @@ let test_crash_enumeration_small_bound () =
       Alcotest.(check int) "no machcheck findings" 0 (Check.total_findings rep)
   | None -> Alcotest.fail "expected a machcheck report"
 
+(* Merged disk transfers still apply every write on its own, so the
+   crash-point index space is the one each write had when it was served
+   alone: the 4-op script issues 58 writes, and a cut at every one of
+   them recovers with nothing lost and nothing torn. *)
+let test_crash_points_pinned () =
+  let open Workloads.Recovery_sweep in
+  let r = run ~ops:4 ~max_points:1024 ~series:[ 4 ] ~checks:false () in
+  Alcotest.(check int) "crash points" 58 r.r_total_writes;
+  Alcotest.(check int) "every point checked" 58 r.r_points_checked;
+  Alcotest.(check bool) "exhaustive" true r.r_exhaustive;
+  Alcotest.(check int) "lost" 0 r.r_lost_writes;
+  Alcotest.(check int) "torn" 0 r.r_torn_states
+
 let suite =
   [
     Alcotest.test_case "torn write lands an aligned prefix" `Quick
@@ -372,4 +385,5 @@ let suite =
       test_restart_reclaims_pins;
     Alcotest.test_case "crash-point enumeration (small bound)" `Quick
       test_crash_enumeration_small_bound;
+    Alcotest.test_case "crash-point count pinned" `Quick test_crash_points_pinned;
   ]
