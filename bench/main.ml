@@ -24,7 +24,8 @@ open Workloads
 
 let hr = Experiment.hr
 
-let sized ?smoke ?machcheck full = { Experiment.full; smoke; machcheck }
+let sized ?smoke ?machcheck ?(checked = []) full =
+  { Experiment.full; smoke; machcheck; checked }
 
 (* An experiment that only prints: it runs in full runs and writes no
    file. *)
@@ -162,39 +163,34 @@ let fileserver_factor_report (f : Micro.factor) =
 let finegrain () =
   hr "E6: fine-grained (Taligent) vs coarse (MK++) object networking";
   let run style =
-    let m = Machine.create Machine.Config.pentium_133 in
-    let k = Mach.Kernel.boot m in
-    let net = Netserver.create k ~style in
-    let app = Mach.Kernel.task_create k ~name:"app" () in
-    let echo = Mach.Kernel.task_create k ~name:"echo" () in
+    Scenario.run Scenario.base @@ fun e ->
+    let net = Netserver.create e.k ~style in
+    let app = Mach.Kernel.task_create e.k ~name:"app" () in
+    let echo = Mach.Kernel.task_create e.k ~name:"echo" () in
     let datagrams = 200 in
     let cycles = ref 0 in
-    ignore
-      (Mach.Kernel.thread_spawn k echo ~name:"echo" (fun () ->
-           match Netserver.udp_socket net ~port:7 with
-           | Error e -> failwith e
-           | Ok s ->
-               for _ = 1 to datagrams do
-                 let src, bytes = Netserver.udp_recv net s in
-                 Netserver.udp_send net s ~dst_port:src ~bytes
-               done)
-        : Mach.Ktypes.thread);
-    ignore
-      (Mach.Kernel.thread_spawn k app ~name:"client" (fun () ->
-           match Netserver.udp_socket net ~port:2000 with
-           | Error e -> failwith e
-           | Ok s ->
-               let t0 = Machine.now m in
-               for _ = 1 to datagrams do
-                 Netserver.udp_send net s ~dst_port:7 ~bytes:256;
-                 ignore (Netserver.udp_recv net s)
-               done;
-               cycles := (Machine.now m - t0) / datagrams)
-        : Mach.Ktypes.thread);
-    Mach.Kernel.run k;
-    ( !cycles,
-      Finegrain.vcalls (Netserver.objects net),
-      Finegrain.memory_footprint_bytes (Netserver.objects net) )
+    Scenario.spawn e echo "echo" (fun () ->
+        match Netserver.udp_socket net ~port:7 with
+        | Error err -> failwith err
+        | Ok s ->
+            for _ = 1 to datagrams do
+              let src, bytes = Netserver.udp_recv net s in
+              Netserver.udp_send net s ~dst_port:src ~bytes
+            done);
+    Scenario.spawn e app "client" (fun () ->
+        match Netserver.udp_socket net ~port:2000 with
+        | Error err -> failwith err
+        | Ok s ->
+            let t0 = Machine.now e.m in
+            for _ = 1 to datagrams do
+              Netserver.udp_send net s ~dst_port:7 ~bytes:256;
+              ignore (Netserver.udp_recv net s)
+            done;
+            cycles := (Machine.now e.m - t0) / datagrams);
+    fun () ->
+      ( !cycles,
+        Finegrain.vcalls (Netserver.objects net),
+        Finegrain.memory_footprint_bytes (Netserver.objects net) )
   in
   let fc, fv, fm = run Finegrain.Fine_grained in
   let cc, cv, cm = run Finegrain.Coarse in
@@ -265,30 +261,25 @@ let memfootprint () =
 let drivers () =
   hr "E8 (ablation): the same disk work under three driver architectures";
   let run arch =
-    let m = Machine.create Machine.Config.pentium_133 in
-    let k = Mach.Kernel.boot m in
-    let rm = Drivers.Resource_manager.create k in
+    Scenario.run Scenario.base @@ fun e ->
+    let rm = Drivers.Resource_manager.create e.k in
     let d =
-      match Drivers.Disk_driver.start k rm ~arch with
+      match Drivers.Disk_driver.start e.k rm ~arch with
       | Ok d -> d
-      | Error e -> failwith e
+      | Error err -> failwith err
     in
-    let app = Mach.Kernel.task_create k ~name:"app" () in
+    let app = Mach.Kernel.task_create e.k ~name:"app" () in
     let requests = 50 in
     let cycles = ref 0 in
-    ignore
-      (Mach.Kernel.thread_spawn k app ~name:"reader" (fun () ->
-           ignore (Drivers.Disk_driver.read_blocks d ~block:0 ~count:4);
-           let t0 = Machine.now m in
-           for i = 1 to requests do
-             ignore
-               (Drivers.Disk_driver.read_blocks d ~block:(i * 8 mod 1024)
-                  ~count:4)
-           done;
-           cycles := (Machine.now m - t0) / requests)
-        : Mach.Ktypes.thread);
-    Mach.Kernel.run k;
-    (!cycles, Drivers.Disk_driver.interrupts_taken d)
+    Scenario.spawn e app "reader" (fun () ->
+        ignore (Drivers.Disk_driver.read_blocks d ~block:0 ~count:4);
+        let t0 = Machine.now e.m in
+        for i = 1 to requests do
+          ignore
+            (Drivers.Disk_driver.read_blocks d ~block:(i * 8 mod 1024) ~count:4)
+        done;
+        cycles := (Machine.now e.m - t0) / requests);
+    fun () -> (!cycles, Drivers.Disk_driver.interrupts_taken d)
   in
   let uc, ui = run Drivers.Disk_driver.User_level in
   let kc, ki = run Drivers.Disk_driver.Kernel_bsd in
@@ -317,26 +308,22 @@ let nameservice () =
   hr "E9 (ablation): X.500-style name service vs the Release 2 simple one";
   let ops = 200 in
   (* boot with the given naming, register 20 devices, time [ops] lookups *)
-  let measure ?naming register lookup =
-    let m = Machine.create Machine.Config.pentium_133 in
-    let b = Mk_services.Bootstrap.boot ?naming m in
-    let k = b.Mk_services.Bootstrap.kernel in
-    let app = Mach.Kernel.task_create k ~name:"app" () in
+  let measure ?(naming = Mk_services.Bootstrap.Full_naming) register lookup =
+    Scenario.run { Scenario.base with boot = Services naming } @@ fun e ->
+    let b = Option.get e.services in
+    let app = Mach.Kernel.task_create e.k ~name:"app" () in
     let cycles = ref 0 in
-    ignore
-      (Mach.Kernel.thread_spawn k app ~name:"app" (fun () ->
-           let p = Mach.Port.allocate k.Mach.Kernel.sys ~receiver:app ~name:"p" in
-           for i = 1 to 20 do
-             register b (Printf.sprintf "dev%02d" i) p
-           done;
-           let t0 = Machine.now m in
-           for i = 1 to ops do
-             lookup b (Printf.sprintf "dev%02d" ((i mod 20) + 1))
-           done;
-           cycles := (Machine.now m - t0) / ops)
-        : Mach.Ktypes.thread);
-    Mach.Kernel.run k;
-    !cycles
+    Scenario.spawn e app "app" (fun () ->
+        let p = Mach.Port.allocate e.sys ~receiver:app ~name:"p" in
+        for i = 1 to 20 do
+          register b (Printf.sprintf "dev%02d" i) p
+        done;
+        let t0 = Machine.now e.m in
+        for i = 1 to ops do
+          lookup b (Printf.sprintf "dev%02d" ((i mod 20) + 1))
+        done;
+        cycles := (Machine.now e.m - t0) / ops);
+    fun () -> !cycles
   in
   let open Mk_services in
   let x500 =
@@ -388,75 +375,61 @@ let registry =
       table2_report;
     printed "figure-ipc" figure_ipc;
     make ~file:"BENCH_ipc.json" "ipc-stress"
-      (sized
+      (sized ~checked:[ Smoke ]
          ~smoke:(fun () ->
-           Ipc_stress.run ~workers:1 ~iters:3 ~sizes:[ 0; 4096 ] ~checks:true ())
-         ~machcheck:(fun () -> Ipc_stress.run ~checks:true ())
-         (fun () -> Ipc_stress.run ()))
-      (fun r -> result ?check:r.r_check (Ipc_stress.to_json r));
+           Ipc_stress.run ~workers:1 ~iters:3 ~sizes:[ 0; 4096 ] ())
+         ~machcheck:Ipc_stress.run Ipc_stress.run)
+      (fun r -> result (Ipc_stress.to_json r));
     make ~file:"BENCH_faults.json" "fault-sweep"
-      (sized
+      (sized ~checked:[ Smoke ]
          ~smoke:(fun () ->
-           Fault_sweep.run ~clients:1 ~sessions:2 ~rates:[ 10_000 ] ~checks:true
-             ())
-         ~machcheck:(fun () -> Fault_sweep.run ~checks:true ())
-         (fun () -> Fault_sweep.run ()))
-      (fun r ->
-        result ~seed:r.r_seed ?check:r.r_check (Fault_sweep.to_json r));
+           Fault_sweep.run ~clients:1 ~sessions:2 ~rates:[ 10_000 ] ())
+         ~machcheck:Fault_sweep.run Fault_sweep.run)
+      (fun r -> result ~seed:r.r_seed (Fault_sweep.to_json r));
     make ~file:"BENCH_recovery.json" "recovery-sweep"
-      (sized
+      (sized ~checked:[ Smoke ]
          ~smoke:(fun () ->
-           Recovery_sweep.run ~ops:4 ~max_points:12 ~series:[ 4 ] ~checks:true
-             ())
-         ~machcheck:(fun () ->
-           Recovery_sweep.run ~ops:8 ~max_points:32 ~checks:true ())
+           Recovery_sweep.run ~ops:4 ~max_points:12 ~series:[ 4 ] ())
+         ~machcheck:(fun () -> Recovery_sweep.run ~ops:8 ~max_points:32 ())
          (* exhaustive: the cap sits far above the script's write count,
             so every single crash point is enumerated, none sampled *)
          (fun () -> Recovery_sweep.run ~max_points:1024 ()))
       (fun r ->
-        result ~seed:r.r_seed ?check:r.r_check ~gates:(Recovery_sweep.gates r)
+        result ~seed:r.r_seed ~gates:(Recovery_sweep.gates r)
           (Recovery_sweep.to_json r));
     make ~file:"BENCH_smp.json" "smp-scaling"
-      (sized
+      (sized ~checked:[ Smoke ]
          ~smoke:(fun () ->
            Smp_scaling.run ~cpus:[ 1; 2 ] ~pairs:2 ~iters:5 ~bytes:256
-             ~clients:2 ~sessions:1 ~checks:true ())
-         (fun () -> Smp_scaling.run ()))
-      (fun r ->
-        result ?check:r.r_check ~gates:(Smp_scaling.gates r)
-          (Smp_scaling.to_json r));
+             ~clients:2 ~sessions:1 ())
+         Smp_scaling.run)
+      (fun r -> result ~gates:(Smp_scaling.gates r) (Smp_scaling.to_json r));
     make ~file:"BENCH_vfs.json" "vfs-walk"
-      (sized
-         ~smoke:(fun () ->
-           Vfs_walk.run ~depth:5 ~files:6 ~repeats:2 ~cpus:2 ~checks:true ())
-         ~machcheck:(fun () -> Vfs_walk.run ~checks:true ())
-         (fun () -> Vfs_walk.run ~checks:true ()))
-      (fun r ->
-        result ?check:r.r_check ~gates:(Vfs_walk.gates r) (Vfs_walk.to_json r));
+      (sized ~checked:[ Full; Smoke ]
+         ~smoke:(fun () -> Vfs_walk.run ~depth:5 ~files:6 ~repeats:2 ~cpus:2 ())
+         ~machcheck:Vfs_walk.run Vfs_walk.run)
+      (fun r -> result ~gates:(Vfs_walk.gates r) (Vfs_walk.to_json r));
     make ~file:"BENCH_net.json" "net-storm"
-      (sized
+      (sized ~checked:[ Full; Smoke ]
          ~smoke:(fun () ->
            Net_storm.run ~cpus:[ 1; 2 ] ~endpoints:6 ~clients:50 ~packets:400
-             ~sessions:2 ~flood_syns:30 ~victim_ops:2 ~checks:true ())
+             ~sessions:2 ~flood_syns:30 ~victim_ops:2 ())
          ~machcheck:(fun () ->
            Net_storm.run ~cpus:[ 1; 4 ] ~endpoints:8 ~clients:400
-             ~packets:1_200 ~sessions:4 ~flood_syns:48 ~victim_ops:3
-             ~checks:true ())
-         (fun () -> Net_storm.run ~checks:true ()))
-      (fun r ->
-        result ?check:r.nr_check ~gates:(Net_storm.gates r)
-          (Net_storm.to_json r));
+             ~packets:1_200 ~sessions:4 ~flood_syns:48 ~victim_ops:3 ())
+         Net_storm.run)
+      (fun r -> result ~gates:(Net_storm.gates r) (Net_storm.to_json r));
     make ~file:"BENCH_storm.json" "fault-storm"
-      (sized
+      (sized ~checked:[ Full; Smoke ]
          ~smoke:(fun () ->
            Fault_storm.run ~endpoints:6 ~rounds:16 ~victim_ops:3 ~clients:1
-             ~sessions:2 ~checks:true ())
+             ~sessions:2 ())
          ~machcheck:(fun () ->
            Fault_storm.run ~endpoints:6 ~rounds:16 ~victim_ops:4 ~clients:2
-             ~sessions:2 ~checks:true ())
-         (fun () -> Fault_storm.run ~checks:true ()))
+             ~sessions:2 ())
+         Fault_storm.run)
       (fun r ->
-        result ~seed:r.fr_seed ?check:r.fr_check ~gates:(Fault_storm.gates r)
+        result ~seed:r.fr_seed ~gates:(Fault_storm.gates r)
           (Fault_storm.to_json r));
     printed "figure1" figure1;
     make ~file:"BENCH_factor.json" "fileserver-factor"

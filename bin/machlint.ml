@@ -7,8 +7,10 @@
    is 1 if anything was found.  `dune build @lint` runs this over the
    whole tree and is wired into `dune runtest`.
 
-   --bench additionally writes BENCH_lint.json (or FILE): scan size,
-   findings by rule and the deterministic analysis-cycle model, under
+   --bench additionally writes BENCH_lint.json (or FILE): scan size (AST
+   nodes in total and per source directory, so a refactor's diff shows
+   which layer shrank), findings by rule and the deterministic
+   analysis-cycle model, under
    the same provenance envelope as every other BENCH writer — so the
    A/B harness can regression-gate the analyzer like any experiment. *)
 
@@ -19,6 +21,9 @@ let bench_json r roots =
       ("files", Json.int r.Lint.r_files);
       ("definitions", Json.int r.Lint.r_defs);
       ("ast_nodes", Json.int r.Lint.r_nodes);
+      ( "ast_nodes_by_dir",
+        Json.Obj
+          (List.map (fun (d, n) -> (d, Json.int n)) r.Lint.r_dir_nodes) );
       ("analysis_cycles", Json.int r.Lint.r_cycles);
       ( "findings",
         Json.Obj

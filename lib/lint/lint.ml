@@ -27,6 +27,7 @@ type report = {
   r_files : int;
   r_defs : int;  (* top-level bindings seen by the call graph *)
   r_nodes : int;  (* AST size: deterministic analysis-work counter *)
+  r_dir_nodes : (string * int) list;  (* AST size per source directory *)
   r_cycles : int;  (* modeled analysis cost, see [analysis_passes] *)
   r_findings : Lint_report.finding list;
 }
@@ -118,10 +119,20 @@ let run ~roots () =
   let nodes =
     Lint_ast.count_nodes (List.map (fun s -> s.Lint_ast.s_ast) sources)
   in
+  let dir (s : Lint_ast.source) = Filename.dirname s.Lint_ast.s_path in
+  let dir_nodes d =
+    ( d,
+      Lint_ast.count_nodes
+        (List.filter_map
+           (fun s -> if dir s = d then Some s.Lint_ast.s_ast else None)
+           sources) )
+  in
   {
     r_files = List.length files;
     r_defs = List.length g.Lint_graph.fn_order;
     r_nodes = nodes;
+    r_dir_nodes =
+      List.map dir_nodes (List.sort_uniq compare (List.map dir sources));
     r_cycles = analysis_passes * nodes;
     r_findings = List.sort_uniq Lint_report.compare findings;
   }

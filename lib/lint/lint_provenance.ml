@@ -1,17 +1,17 @@
 (* Rule: bench provenance.
 
    Every BENCH_*.json this repo emits carries the PR-4 provenance
-   envelope: a "schema_version" field and the Run_meta block
+   envelope: a "schema_version" field and the run block
    (git_rev/seed/timestamp).  The A/B harness refuses files without it,
    so a writer that forgets the envelope produces benchmarks that cannot
-   be regression-gated.  Statically:
+   be regression-gated.  [Run_meta.envelope] is the one writer of that
+   envelope.  Statically:
 
-   - a JSON builder (any function whose body emits an "experiment"
-     header key) must, in the same function, emit "schema_version" and
-     call [Run_meta.json];
-   - a function that opens a literal BENCH_*.json for writing must
-     either call a [*to_json] builder for its contents or carry the
-     envelope itself. *)
+   - a function that emits an "experiment" header key by hand must, in
+     the same function, emit "schema_version" and call
+     [Run_meta.envelope];
+   - a function that opens a literal BENCH_*.json for writing must call
+     a [*to_json] builder or [Run_meta.envelope] for its contents. *)
 
 (* The trigger is the quote-and-colon form a JSON builder emits for the
    experiment header key — diagnostics that merely mention the quoted
@@ -25,7 +25,7 @@ let contains ~needle hay =
   let rec at i = i + nl <= hl && (String.sub hay i nl = needle || at (i + 1)) in
   at 0
 
-let run_meta_targets = [ "Run_meta.json" ]
+let envelope_targets = [ "Run_meta.envelope" ]
 
 let path_is_open_out head =
   match Lint_ast.path_of_expr head with
@@ -46,9 +46,9 @@ let check (g : Lint_graph.t) =
       and has_schema =
         List.exists (fun (s, _) -> contains ~needle:schema_needle s) strings
       in
-      let calls_run_meta =
+      let calls_envelope =
         List.exists
-          (fun c -> Lint_graph.call_matches c run_meta_targets)
+          (fun c -> Lint_graph.call_matches c envelope_targets)
           fn.Lint_graph.fn_calls
       and calls_to_json =
         List.exists
@@ -72,13 +72,14 @@ let check (g : Lint_graph.t) =
                   schema_version field: bench ab will reject the file"
                  fn.Lint_graph.fn_key)
             :: !findings;
-        if not calls_run_meta then
+        if not calls_envelope then
           findings :=
             Lint_report.make ~rule:Lint_report.rule_provenance
               ~loc:fn.Lint_graph.fn_loc
               (Printf.sprintf
-                 "%s builds a BENCH experiment header without Run_meta.json \
-                  provenance (git_rev/seed/timestamp)"
+                 "%s builds a BENCH experiment header by hand: only \
+                  Run_meta.envelope writes the provenance \
+                  (git_rev/seed/timestamp)"
                  fn.Lint_graph.fn_key)
             :: !findings);
       (* open_out "BENCH_x.json" must route through a builder or carry
@@ -108,14 +109,12 @@ let check (g : Lint_graph.t) =
         !found
       in
       match writes_bench with
-      | Some (name, loc)
-        when not (calls_to_json || (has_schema && calls_run_meta)) ->
+      | Some (name, loc) when not (calls_to_json || calls_envelope) ->
           findings :=
             Lint_report.make ~rule:Lint_report.rule_provenance ~loc
               (Printf.sprintf
                  "%s is written without provenance: route the contents \
-                  through a to_json builder carrying schema_version and \
-                  Run_meta.json"
+                  through a to_json builder or Run_meta.envelope"
                  name)
             :: !findings
       | _ -> ());

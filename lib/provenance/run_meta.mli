@@ -4,11 +4,9 @@
     run emits the same stamp, and re-running a workload with the checker
     toggled stays byte-identical. *)
 
-val json : ?seed:int -> unit -> Json.t
-(** The [{ "git_rev": ..., "seed": ..., "timestamp": ... }] object for a
-    ["run"] field.  [seed] defaults to 0 for unseeded workloads. *)
-
 val envelope : experiment:string -> ?seed:int -> (string * Json.t) list -> string
 (** The text of a whole BENCH_*.json document: ["experiment"],
     ["schema_version"] and ["run"] (the provenance envelope every file
-    carries, and {!Bench_ab} requires), then [fields]. *)
+    carries, and {!Bench_ab} requires), then [fields].  The ["run"]
+    block is [{ "git_rev", "seed", "timestamp" }]; [seed] defaults to 0
+    for unseeded workloads.  This is the one writer of the envelope. *)

@@ -23,8 +23,8 @@ type result = {
   gates : gate list;
 }
 
-let result ?seed ?check ?(gates = []) ?table body =
-  { body; seed; table; check; gates }
+let result ?seed ?(gates = []) ?table body =
+  { body; seed; table; check = None; gates }
 
 type entry = {
   name : string;
@@ -36,6 +36,7 @@ type 'r sizes = {
   full : unit -> 'r;
   smoke : (unit -> 'r) option;
   machcheck : (unit -> 'r) option;
+  checked : profile list;
 }
 
 (* Any Machcheck report gates on zero findings, whatever the experiment. *)
@@ -44,6 +45,8 @@ let findings_gate = function
       [ at_most "machcheck_findings" (float (Check.total_findings rep)) 0.0 ]
   | None -> []
 
+(* The checker is installed around the whole workload, so every machine
+   it boots (and every supervised restart) attaches to it. *)
 let make ?file name sizes report =
   let pick = function
     | Full -> Some sizes.full
@@ -53,8 +56,11 @@ let make ?file name sizes report =
   let run profile =
     Option.map
       (fun size ->
+        Check.with_checker (profile = Machcheck || List.mem profile sizes.checked)
+        @@ fun chk ->
         let r = report (size ()) in
-        { r with gates = r.gates @ findings_gate r.check })
+        let check = Option.map Check.report chk in
+        { r with check; gates = r.gates @ findings_gate check })
       (pick profile)
   in
   { name; file; run }

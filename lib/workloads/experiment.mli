@@ -35,8 +35,10 @@ type result = {
 }
 
 val result :
-  ?seed:int -> ?check:Check.report -> ?gates:gate list -> ?table:(unit -> unit) ->
+  ?seed:int -> ?gates:gate list -> ?table:(unit -> unit) ->
   (string * Json.t) list -> result
+(** A result without a Machcheck report; {!make} adds the report when the
+    profile runs under the checker. *)
 
 type entry = {
   name : string;
@@ -49,14 +51,18 @@ type 'r sizes = {
   full : unit -> 'r;
   smoke : (unit -> 'r) option;
   machcheck : (unit -> 'r) option;
+  checked : profile list;
+      (** the profiles besides {!Machcheck} whose run goes under the
+          checker *)
 }
 (** The workload call at each profile's size; [None] leaves the
     experiment out of that profile. *)
 
 val make : ?file:string -> string -> 'r sizes -> ('r -> result) -> entry
 (** [make ?file name sizes report] runs the workload at the profile's
-    size and reports it.  A result carrying a Machcheck report gets one
-    more gate, ["machcheck_findings" <= 0]. *)
+    size and reports it.  Under {!Machcheck} and the [checked] profiles
+    the whole run goes under a fresh {!Check}: the result carries its
+    report and one more gate, ["machcheck_findings" <= 0]. *)
 
 val hr : string -> unit
 (** Prints a section header. *)

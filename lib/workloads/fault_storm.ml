@@ -33,16 +33,7 @@
    number is deterministic. *)
 
 open Mach.Ktypes
-module F = Fileserver
-
-(* Helpers shared with the net-storm and fault-sweep experiments. *)
-let lcg = Net_storm.lcg
-let spawn_on = Net_storm.spawn_on
-let sleep = Net_storm.sleep
-let poll_reply = Net_storm.poll_reply
-let service_path = Fault_sweep.service_path
-let run_session = Fault_sweep.run_session
-let fail_fs = Fault_sweep.fail_fs
+module Sup = Mk_services.Supervisor
 
 type point = {
   fp_scenario : string;
@@ -68,11 +59,7 @@ type point = {
   fp_fastfail_cycles : int;  (* degraded-mode error latency (-1 = n/a) *)
 }
 
-type result = {
-  fr_seed : int;
-  fr_points : point list;
-  fr_check : Check.report option;
-}
+type result = { fr_seed : int; fr_points : point list }
 
 let base scenario =
   {
@@ -99,24 +86,12 @@ let base scenario =
     fp_fastfail_cycles = -1;
   }
 
-let config ~ncpus =
-  Machine.Config.with_ncpus Machine.Config.pentium_133 ~n:ncpus
-
 (* --- op ledger: completion-stamped outcomes vs fault windows -------------- *)
 
-type ledger = { mutable lg : (int * bool) list }
-
-let ledger () = { lg = [] }
-let note l ~at ok = l.lg <- (at, ok) :: l.lg
-
-let classify l windows =
-  let inside at = List.exists (fun (a, b) -> at >= a && at <= b) windows in
-  List.fold_left
-    (fun (iop, iok, oop, ook) (at, ok) ->
-      if inside at then
-        (iop + 1, (if ok then iok + 1 else iok), oop, ook)
-      else (iop, iok, oop + 1, if ok then ook + 1 else ook))
-    (0, 0, 0, 0) l.lg
+(* A ledger notes each finished op's outcome at the global clock. *)
+let ledger (e : Scenario.env) =
+  let lg = ref [] in
+  (lg, fun ok -> lg := (Machine.global_now e.m, ok) :: !lg)
 
 let ratio ok total = if total = 0 then 1.0 else float_of_int ok /. float_of_int total
 
@@ -128,12 +103,14 @@ let mean_window windows =
   | [] -> 0.0
   | ws -> float_of_int (window_cycles ws) /. float_of_int (List.length ws)
 
-let per_mcycle ops cycles =
-  if cycles <= 0 then 0.0 else float_of_int ops /. float_of_int cycles *. 1e6
-
-(* Fill the availability block of a point from a ledger + windows. *)
+(* Fill the availability block of a point from a ledger + windows:
+   each op counts inside or outside by its completion stamp. *)
 let with_availability p l windows ~wall =
-  let iop, iok, oop, ook = classify l windows in
+  let inside at = List.exists (fun (a, b) -> at >= a && at <= b) windows in
+  let count f = List.length (List.filter f l) in
+  let iop = count (fun (at, _) -> inside at) in
+  let iok = count (fun (at, ok) -> ok && inside at) in
+  let oop = List.length l - iop and ook = count snd - iok in
   let wsum = window_cycles windows in
   {
     p with
@@ -143,8 +120,8 @@ let with_availability p l windows ~wall =
     fp_out_ok = ook;
     fp_avail_in = ratio iok iop;
     fp_avail_out = ratio ook oop;
-    fp_rate_in = per_mcycle iok wsum;
-    fp_rate_out = per_mcycle ook (max 0 (wall - wsum));
+    fp_rate_in = Scenario.per_mcycle iok wsum;
+    fp_rate_out = Scenario.per_mcycle ook (max 0 (wall - wsum));
     fp_windows = List.length windows;
     fp_mttr = mean_window windows;
   }
@@ -156,51 +133,45 @@ let with_availability p l windows ~wall =
    and without the mid-run kill; the killer thread exists in both runs
    (bound to the victim shard's CPU, so its cycles land there and only
    there) and merely declines to kill in the control run. *)
-let golden_run ~ncpus ~endpoints ~rounds ~kill () =
-  let m = Machine.create (config ~ncpus) in
-  let k = Mach.Kernel.boot m in
-  let sys = k.Mach.Kernel.sys in
-  let net = Netserver.create k ~style:Finegrain.Coarse in
+let golden_run ~endpoints ~rounds ~kill =
+  Scenario.run { Scenario.base with ncpus = 4; net = Some 64 } @@ fun e ->
+  let m = e.m and net = Option.get e.netserver in
   let victim = Netserver.port_shard net ~port:100 in
   let gap = 8_000 in
-  let task = Mach.Kernel.task_create k ~name:"storm" () in
+  let task = Mach.Kernel.task_create e.k ~name:"storm" () in
   let windows = ref [] in
   let schedule at f = Machine.Event_queue.schedule m.Machine.events ~at f in
   let inject_round r =
-    for e = 0 to endpoints - 1 do
-      let src = 10_000 + (lcg ((r * 131) + e) mod 5_000) in
-      Netserver.inject_udp net ~src_port:src ~dst_port:(100 + e) ~bytes:256
+    for ep = 0 to endpoints - 1 do
+      let src = 10_000 + (Scenario.lcg ((r * 131) + ep) mod 5_000) in
+      Netserver.inject_udp net ~src_port:src ~dst_port:(100 + ep) ~bytes:256
     done
   in
-  ignore
-    (Mach.Kernel.thread_spawn k task ~name:"binder" (fun () ->
-         for e = 0 to endpoints - 1 do
-           match Netserver.udp_socket net ~port:(100 + e) with
-           | Error err -> failwith err
-           | Ok _ -> ()
-         done;
-         let t0 = Machine.now m + 2_000 in
-         for r = 0 to rounds - 1 do
-           schedule (t0 + (r * gap)) (fun () -> inject_round r)
-         done)
-      : thread);
-  spawn_on k task "killer" ~cpu:(victim mod ncpus) (fun () ->
-      sleep sys (12 * gap);
+  Scenario.spawn e task "binder" (fun () ->
+      for ep = 0 to endpoints - 1 do
+        match Netserver.udp_socket net ~port:(100 + ep) with
+        | Error err -> failwith err
+        | Ok _ -> ()
+      done;
+      let t0 = Machine.now m + 2_000 in
+      for r = 0 to rounds - 1 do
+        schedule (t0 + (r * gap)) (fun () -> inject_round r)
+      done);
+  Scenario.spawn e task ~cpu:(victim mod 4) "killer" (fun () ->
+      Scenario.sleep e (12 * gap);
       if kill then begin
         let d0 = Machine.global_now m in
         Netserver.kill_shard net ~shard:victim;
-        sleep sys (10 * gap);
+        Scenario.sleep e (10 * gap);
         Netserver.reincarnate_shard net ~shard:victim;
         windows := (d0, Machine.global_now m) :: !windows
       end
-      else sleep sys (10 * gap));
-  Mach.Kernel.run k;
-  (net, victim, !windows)
+      else Scenario.sleep e (10 * gap));
+  fun () -> (net, victim, !windows)
 
 let shard_golden ~endpoints ~rounds () =
-  let ncpus = 4 in
-  let netc, victim, _ = golden_run ~ncpus ~endpoints ~rounds ~kill:false () in
-  let netf, victim', windows = golden_run ~ncpus ~endpoints ~rounds ~kill:true () in
+  let netc, victim, _ = golden_run ~endpoints ~rounds ~kill:false in
+  let netf, victim', windows = golden_run ~endpoints ~rounds ~kill:true in
   assert (victim = victim');
   let dc = Netserver.shard_delivered netc in
   let df = Netserver.shard_delivered netf in
@@ -226,12 +197,9 @@ let shard_golden ~endpoints ~rounds () =
 
 let shard_storm ~victim_ops () =
   let ncpus = 4 in
-  let m = Machine.create (config ~ncpus) in
-  let k = Mach.Kernel.boot m in
-  let sys = k.Mach.Kernel.sys in
-  let net = Netserver.create k ~style:Finegrain.Coarse in
+  Scenario.run { Scenario.base with ncpus; net = Some 64 } @@ fun e ->
+  let m = e.m and net = Option.get e.netserver in
   let echo_home = Netserver.port_shard net ~port:7 in
-  let vport cpu = 20_000 + cpu in
   (* kill the shard homing a victim's receive socket — never the echo
      server's, so the service itself stays up and only that victim's
      replies vanish while the shard is down *)
@@ -239,194 +207,95 @@ let shard_storm ~victim_ops () =
     let rec pick cpu =
       if cpu >= ncpus then (echo_home + 1) mod ncpus
       else
-        let sh = Netserver.port_shard net ~port:(vport cpu) in
+        let sh = Netserver.port_shard net ~port:(20_000 + cpu) in
         if sh <> echo_home then sh else pick (cpu + 1)
     in
     pick 0
   in
-  let task = Mach.Kernel.task_create k ~name:"storm" () in
-  let lg = ledger () in
+  let task = Mach.Kernel.task_create e.k ~name:"storm" () in
+  let lg, note = ledger e in
   let windows = ref [] in
-  let lost = ref 0 and completed = ref 0 in
-  spawn_on k task "echo" ~cpu:0 (fun () ->
-      match Netserver.udp_socket net ~port:7 with
-      | Error e -> failwith e
-      | Ok s ->
-          let rec serve () =
-            let src, n = Netserver.udp_recv net s in
-            Netserver.udp_send net s ~dst_port:src ~bytes:n;
-            serve ()
-          in
-          serve ());
-  spawn_on k task "killer" ~cpu:(victim mod ncpus) (fun () ->
-      sleep sys 40_000;
+  Scenario.echo_server e task;
+  Scenario.spawn e task ~cpu:(victim mod ncpus) "killer" (fun () ->
+      Scenario.sleep e 40_000;
       for _ = 1 to 2 do
         let d0 = Machine.global_now m in
         Netserver.kill_shard net ~shard:victim;
-        sleep sys 50_000;
+        Scenario.sleep e 50_000;
         Netserver.reincarnate_shard net ~shard:victim;
         windows := (d0, Machine.global_now m) :: !windows;
-        sleep sys 80_000
+        Scenario.sleep e 80_000
       done);
-  for cpu = 0 to ncpus - 1 do
-    spawn_on k task (Printf.sprintf "victim%d" cpu) ~cpu (fun () ->
-        sleep sys 2_000;
-        match Netserver.udp_socket net ~port:(vport cpu) with
-        | Error e -> failwith e
-        | Ok s ->
-            for _ = 1 to victim_ops do
-              let rec attempt budget =
-                if budget = 0 then begin
-                  incr lost;
-                  note lg ~at:(Machine.global_now m) false
-                end
-                else begin
-                  Netserver.udp_send net s ~dst_port:7 ~bytes:160;
-                  if poll_reply sys net s ~polls:12 ~gap:6_000 then begin
-                    incr completed;
-                    note lg ~at:(Machine.global_now m) true
-                  end
-                  else attempt (budget - 1)
-                end
-              in
-              attempt 40
-            done)
-  done;
-  Mach.Kernel.run k;
-  let ops = victim_ops * ncpus in
-  let p =
-    {
-      (base "shard-storm") with
-      fp_ops = ops;
-      fp_completed = !completed;
-      fp_lost = !lost;
-      fp_reboot_drops = Netserver.reboot_drops net;
-      fp_reincarnations = Netserver.shard_reincarnations net;
-    }
-  in
-  with_availability p lg !windows ~wall:(Machine.global_now m)
+  let t = Scenario.echo_clients e task ~ops:victim_ops ~budget:40 note in
+  fun () ->
+    let p =
+      {
+        (base "shard-storm") with
+        fp_ops = victim_ops * ncpus;
+        fp_completed = t.acked;
+        fp_lost = t.lost;
+        fp_reboot_drops = Netserver.reboot_drops net;
+        fp_reincarnations = Netserver.shard_reincarnations net;
+      }
+    in
+    with_availability p !lg !windows ~wall:(Machine.global_now m)
 
 (* --- fs-crash / fs-wedge: the health-supervised file server --------------- *)
 
-(* The common chassis: boot, mount, supervise with a heartbeat config,
-   run [clients]x[sessions] while [configure] installs the scenario's
-   fault plan, and stop the supervisor when the last session lands (the
-   heartbeat timer would otherwise keep the machine awake forever). *)
-let fs_scenario ~scenario ~seed ~clients ~sessions ~server_threads ~watchdog
-    ~configure () =
-  let m = Machine.create Machine.Config.pentium_133 in
-  let boot = Mk_services.Bootstrap.boot m in
-  let k = boot.Mk_services.Bootstrap.kernel in
-  let sys = k.Mach.Kernel.sys in
-  let runtime = boot.Mk_services.Bootstrap.runtime in
-  let ns = Mk_services.Bootstrap.name_service_exn boot in
-  let disk = m.Machine.disk in
-  F.Hpfs.mkfs disk ();
-  let vfs = F.Vfs.create () in
-  let cache = F.Block_cache.create k disk () in
-  (match F.Hpfs.mount cache () with
-  | Ok pfs -> (
-      match F.Vfs.mount vfs ~at:"/os2" pfs with
-      | Ok () -> ()
-      | Error e -> failwith e)
-  | Error e -> fail_fs e);
-  let fs = F.File_server.start k runtime vfs ~server_threads () in
-  let sup = Mk_services.Supervisor.create k runtime ns in
-  Drivers.Disk_driver.arm_faults k disk;
-  let plan = Mach.Fault.create ~seed () in
-  configure plan ~disk:(Machine.Disk.name disk);
-  sys.Mach.Sched.faults <- Some plan;
-  let cached = ref (Some (F.File_server.port fs)) in
-  let resolve () =
-    match !cached with
-    | Some p when not p.dead -> Some p
-    | Some _ | None ->
-        let p = Mk_services.Name_service.resolve_port ns ~path:service_path in
-        cached := p;
-        p
-  in
-  F.File_server.set_retry fs ~attempts:7 ~deadline:1_000_000
-    ~backoff:1_000_000 ~resolve ();
-  let sem = F.Vfs.os2_semantics in
-  let lg = ledger () in
-  let windows = ref [] in
-  let finished = ref 0 in
-  let total = clients * sessions in
-  let driver = Mach.Kernel.task_create k ~name:"storm-driver" () in
-  ignore
-    (Mach.Kernel.thread_spawn k driver ~name:"storm-main" (fun () ->
-         let health =
-           {
-             Mk_services.Supervisor.hc_interval = 60_000;
-             hc_deadline = 30_000;
-             hc_watchdog = watchdog;
-             hc_port = (fun () -> Some (F.File_server.health_port fs));
-           }
-         in
-         Mk_services.Supervisor.supervise sup ~path:service_path ~budget:16
-           ~window:max_int ~backoff:25_000 ~health
-           ~port:(F.File_server.port fs)
-           ~restart:(fun () ->
-             let t0 = Machine.now m in
-             let p = F.File_server.restart fs in
-             windows := (t0, Machine.now m) :: !windows;
-             p)
-           ();
-         for c = 1 to clients do
-           let client =
-             Mach.Kernel.task_create k ~name:(Printf.sprintf "editor%d" c) ()
-           in
-           ignore
-             (Mach.Kernel.thread_spawn k client ~name:"edit" (fun () ->
-                  for s = 1 to sessions do
-                    let path = Printf.sprintf "/os2/c%d_s%d.dat" c s in
-                    let ok = run_session fs sem ~path ~reopens:(ref 0) in
-                    note lg ~at:(Machine.global_now m) ok;
-                    incr finished
-                  done)
-               : thread)
-         done;
-         (* the heartbeat scan keeps the event queue alive, so the run
-            only quiesces once the supervisor is told to stand down *)
-         while !finished < total do
-           sleep sys 50_000
-         done;
-         Mk_services.Supervisor.stop sup)
-      : thread);
-  Mach.Kernel.run k;
-  sys.Mach.Sched.faults <- None;
-  Drivers.Disk_driver.disarm_faults disk;
-  let completed = List.length (List.filter snd lg.lg) in
-  let p =
+(* [clients]x[sessions] edit sessions against the supervised file server
+   with a heartbeat, under the scenario's fault script; the supervisor
+   stands down when the last session lands. *)
+let fs_scenario ~scenario ~seed ~clients ~sessions ~server_threads ~script () =
+  Scenario.run
     {
-      (base scenario) with
-      fp_ops = total;
-      fp_completed = completed;
-      fp_lost = total - completed;
-      fp_restarts = Mk_services.Supervisor.path_restarts sup ~path:service_path;
-      fp_wedge_kills =
-        Mk_services.Supervisor.path_wedge_kills sup ~path:service_path;
-      fp_degraded = Mk_services.Supervisor.degraded_count sup;
+      Scenario.base with
+      boot = Services Full_naming;
+      fs = Some server_threads;
+      faults =
+        Some
+          (fun ~disk ->
+            let plan = Mach.Fault.create ~seed () in
+            script plan ~disk;
+            plan);
     }
+  @@ fun e ->
+  let lg, note = ledger e in
+  let s =
+    Scenario.supervised_edits e ~clients ~sessions ~budget:16 ~health:true note
   in
-  let p = with_availability p lg !windows ~wall:(Machine.global_now m) in
-  (* prefer the supervisor's own death-to-rebind MTTR when it has one *)
-  match Mk_services.Supervisor.mttr sup ~path:service_path with
-  | Some c -> { p with fp_mttr = float_of_int c }
-  | None -> p
+  fun () ->
+    let total = clients * sessions in
+    let completed = List.length (List.filter snd !lg) in
+    let path = Scenario.service_path in
+    let p =
+      {
+        (base scenario) with
+        fp_ops = total;
+        fp_completed = completed;
+        fp_lost = total - completed;
+        fp_restarts = Sup.path_restarts s.sup ~path;
+        fp_wedge_kills = Sup.path_wedge_kills s.sup ~path;
+        fp_degraded = Sup.degraded_count s.sup;
+      }
+    in
+    let p =
+      with_availability p !lg !(s.restarts) ~wall:(Machine.global_now e.m)
+    in
+    (* prefer the supervisor's own death-to-rebind MTTR when it has one *)
+    match Sup.mttr s.sup ~path with
+    | Some c -> { p with fp_mttr = float_of_int c }
+    | None -> p
 
 let fs_crash ~seed ~clients ~sessions () =
   fs_scenario ~scenario:"fs-crash" ~seed ~clients ~sessions ~server_threads:2
-    ~watchdog:4_000_000
-    ~configure:(fun plan ~disk ->
+    ~script:(fun plan ~disk ->
       Mach.Fault.set_rates plan ~port:"file-service" ~crash_ppm:30_000 ();
       Mach.Fault.set_disk_rates plan ~disk ~reorder_ppm:30_000 ())
     ()
 
 let fs_wedge ~seed ~clients ~sessions () =
   fs_scenario ~scenario:"fs-wedge" ~seed ~clients ~sessions ~server_threads:1
-    ~watchdog:4_000_000
-    ~configure:(fun plan ~disk:_ ->
+    ~script:(fun plan ~disk:_ ->
       (* a scripted wedge far past the watchdog — which itself must sit
          above the slowest legitimate request: a single serve thread
          flushing a recovery-dirtied cache on sync can legitimately hold
@@ -441,89 +310,72 @@ let fs_wedge ~seed ~clients ~sessions () =
 (* --- crash-loop: budget exhaustion, degraded mode, fast-fail -------------- *)
 
 let crash_loop () =
-  let m = Machine.create Machine.Config.pentium_133 in
-  let boot = Mk_services.Bootstrap.boot m in
-  let k = boot.Mk_services.Bootstrap.kernel in
-  let sys = k.Mach.Kernel.sys in
-  let runtime = boot.Mk_services.Bootstrap.runtime in
+  Scenario.run
+    { Scenario.base with boot = Services Full_naming }
+  @@ fun e ->
+  let m = e.m and sys = e.sys in
+  let boot = Option.get e.services in
   let ns = Mk_services.Bootstrap.name_service_exn boot in
-  let sup = Mk_services.Supervisor.create k runtime ns in
+  let sup = Sup.create e.k boot.Mk_services.Bootstrap.runtime ns in
   let path = "/services/flaky" in
-  let task = Mach.Kernel.task_create k ~name:"flaky" () in
+  let task = Mach.Kernel.task_create e.k ~name:"flaky" () in
   let make_port () = Mach.Port.allocate sys ~receiver:task ~name:"flaky" in
   let fastfail = ref (-1) in
   let deaths = ref 0 in
-  ignore
-    (Mach.Kernel.thread_spawn k task ~name:"register" (fun () ->
-         let p0 = make_port () in
-         Mk_services.Supervisor.supervise sup ~path ~budget:3 ~backoff:2_000
-           ~port:p0
-           ~restart:(fun () -> make_port ())
-           ())
-      : thread);
+  Scenario.spawn e task "register" (fun () ->
+      Sup.supervise sup ~path ~budget:3 ~backoff:2_000 ~port:(make_port ())
+        ~restart:make_port ());
   (* the crash loop itself: every incarnation is murdered moments after
      it appears, until the supervisor gives up and demotes *)
-  ignore
-    (Mach.Kernel.thread_spawn k task ~name:"crasher" (fun () ->
-         sleep sys 5_000;
-         let rec crash () =
-           if not (Mk_services.Supervisor.is_degraded sup ~path) then begin
-             (match Mk_services.Supervisor.current_port sup ~path with
-             | Some p when not p.dead ->
-                 incr deaths;
-                 Mach.Port.destroy sys p
-             | Some _ | None -> ());
-             sleep sys 4_000;
-             crash ()
-           end
-         in
-         crash ())
-      : thread);
-  let client = Mach.Kernel.task_create k ~name:"client" () in
-  ignore
-    (Mach.Kernel.thread_spawn k client ~name:"caller" (fun () ->
-         while not (Mk_services.Supervisor.is_degraded sup ~path) do
-           sleep sys 3_000
-         done;
-         sleep sys 2_000;
-         match Mk_services.Name_service.resolve_port ns ~path with
-         | None -> ()
-         | Some p -> (
-             let t0 = Machine.now m in
-             match Mach.Rpc.call sys p (simple_message ~payload:P_unit ()) with
-             | Ok { msg_payload = P_error Kern_unavailable; _ } ->
-                 fastfail := Machine.now m - t0
-             | Ok _ | Error _ -> fastfail := -1))
-      : thread);
-  Mach.Kernel.run k;
-  Mk_services.Supervisor.stop sup;
-  {
-    (base "crash-loop") with
-    fp_ops = !deaths;
-    fp_completed = 0;
-    fp_restarts = Mk_services.Supervisor.path_restarts sup ~path;
-    fp_degraded = Mk_services.Supervisor.degraded_count sup;
-    fp_fastfail_cycles = !fastfail;
-  }
+  Scenario.spawn e task "crasher" (fun () ->
+      Scenario.sleep e 5_000;
+      while not (Sup.is_degraded sup ~path) do
+        (match Sup.current_port sup ~path with
+        | Some p when not p.dead ->
+            incr deaths;
+            Mach.Port.destroy sys p
+        | Some _ | None -> ());
+        Scenario.sleep e 4_000
+      done);
+  let client = Mach.Kernel.task_create e.k ~name:"client" () in
+  Scenario.spawn e client "caller" (fun () ->
+      while not (Sup.is_degraded sup ~path) do
+        Scenario.sleep e 3_000
+      done;
+      Scenario.sleep e 2_000;
+      match Mk_services.Name_service.resolve_port ns ~path with
+      | None -> ()
+      | Some p -> (
+          let t0 = Machine.now m in
+          match Mach.Rpc.call sys p (simple_message ~payload:P_unit ()) with
+          | Ok { msg_payload = P_error Kern_unavailable; _ } ->
+              fastfail := Machine.now m - t0
+          | Ok _ | Error _ -> fastfail := -1));
+  fun () ->
+    Sup.stop sup;
+    {
+      (base "crash-loop") with
+      fp_ops = !deaths;
+      fp_completed = 0;
+      fp_restarts = Sup.path_restarts sup ~path;
+      fp_degraded = Sup.degraded_count sup;
+      fp_fastfail_cycles = !fastfail;
+    }
 
 (* --- sweep ----------------------------------------------------------------- *)
 
 let run ?(seed = 42) ?(endpoints = 16) ?(rounds = 40) ?(victim_ops = 12)
-    ?(clients = 3) ?(sessions = 6) ?(checks = false) () =
-  Check.with_checker checks @@ fun chk ->
-  let points =
-    [
-      shard_golden ~endpoints ~rounds ();
-      shard_storm ~victim_ops ();
-      fs_crash ~seed ~clients ~sessions ();
-      fs_wedge ~seed ~clients ~sessions ();
-      crash_loop ();
-    ]
-  in
+    ?(clients = 3) ?(sessions = 6) () =
   {
     fr_seed = seed;
-    fr_points = points;
-    fr_check = Option.map Check.report chk;
+    fr_points =
+      [
+        shard_golden ~endpoints ~rounds ();
+        shard_storm ~victim_ops ();
+        fs_crash ~seed ~clients ~sessions ();
+        fs_wedge ~seed ~clients ~sessions ();
+        crash_loop ();
+      ];
   }
 
 (* --- acceptance gates ------------------------------------------------------ *)

@@ -55,20 +55,14 @@ type point = {
   fp_fastfail_cycles : int;  (** degraded-mode error latency (-1 = n/a) *)
 }
 
-type result = {
-  fr_seed : int;
-  fr_points : point list;
-  fr_check : Check.report option;  (** Machcheck findings, when enabled *)
-}
+type result = { fr_seed : int; fr_points : point list }
 
 val run :
   ?seed:int -> ?endpoints:int -> ?rounds:int -> ?victim_ops:int ->
-  ?clients:int -> ?sessions:int -> ?checks:bool -> unit -> result
+  ?clients:int -> ?sessions:int -> unit -> result
 (** Run all five scenarios.  [endpoints]/[rounds] size the open-loop
     golden storm, [victim_ops] the closed-loop echo run, and
-    [clients]/[sessions] the file-server scenarios.  With [checks] a
-    {!Check} rides along globally (every boot and every supervised
-    restart attaches to it). *)
+    [clients]/[sessions] the file-server scenarios. *)
 
 val gates : result -> Experiment.gate list
 (** No acked or attempted operation lost; the worst success ratio over

@@ -31,30 +31,13 @@ type result = {
   r_sessions : int;
   r_baseline_cycles_per_op : float;
   r_points : point list;
-  r_check : Check.report option;
-      (** Machcheck report over the whole sweep when run with
-          [~checks:true]; [None] otherwise *)
 }
 
 val run :
-  ?seed:int -> ?clients:int -> ?sessions:int -> ?rates:int list ->
-  ?checks:bool -> unit -> result
+  ?seed:int -> ?clients:int -> ?sessions:int -> ?rates:int list -> unit ->
+  result
 (** Run the baseline plus one point per crash rate (ppm per request;
-    default [[2_000; 10_000; 30_000]]).  [~checks:true] runs the whole
-    sweep — including every supervised restart — under Machcheck and
-    fills [r_check]. *)
-
-val service_path : string
-(** Where the supervised file server is registered. *)
-
-val fail_fs : Fileserver.Fs_types.fs_error -> 'a
-
-val run_session :
-  Fileserver.File_server.t -> Fileserver.Vfs.semantics -> path:string ->
-  reopens:int ref -> bool
-(** One edit session (open, write, four reads, close, sync), restarted
-    from the open at most three times when a step fails; each restart
-    bumps [reopens].  True when a pass completed. *)
+    default [[2_000; 10_000; 30_000]]). *)
 
 val to_json : result -> (string * Json.t) list
 (** The fields of [BENCH_faults.json] after the envelope. *)

@@ -18,7 +18,6 @@ type result = {
   r_kbuf_recycles : int;
   r_kbuf_resets : int;
   r_kbuf_peak_bytes : int;
-  r_check : Check.report option;  (* Machcheck findings, when enabled *)
 }
 
 (* One sustained run: [workers] client/server pairs on one machine, each
@@ -26,9 +25,8 @@ type result = {
    scheduler interleaves the pairs, so queue depths and buffer pressure
    resemble a loaded system rather than a lone ping-pong. *)
 let measure ~system ~workers ~iters ~bytes =
-  let m = Machine.create Machine.Config.pentium_133 in
-  let k = Mach.Kernel.boot m in
-  let sys = k.Mach.Kernel.sys in
+  Scenario.run Scenario.base @@ fun e ->
+  let m = e.m and k = e.k and sys = e.sys in
   for w = 1 to workers do
     let client =
       Mach.Kernel.task_create k ~name:(Printf.sprintf "client%d" w) ()
@@ -39,110 +37,67 @@ let measure ~system ~workers ~iters ~bytes =
     let port = Mach.Port.allocate sys ~receiver:server ~name:"svc" in
     match system with
     | `Mach_msg ->
-        ignore
-          (Mach.Kernel.thread_spawn k server ~name:"srv" (fun () ->
-               Mach.Ipc.serve sys port (fun msg ->
-                   List.iter
-                     (fun r ->
-                       Mach.Vm.touch sys server ~addr:r.ool_addr ~write:true
-                         ~bytes:r.ool_bytes ())
-                     msg.msg_ool;
-                   simple_message ()))
-            : thread);
-        ignore
-          (Mach.Kernel.thread_spawn k client ~name:"cl" (fun () ->
-               let buffer =
-                 if bytes > Micro.ool_threshold then
-                   Mach.Vm.allocate sys client ~bytes ()
-                 else 0
-               in
-               let message () =
-                 if bytes <= Micro.ool_threshold then
-                   simple_message ~inline_bytes:bytes ()
-                 else begin
-                   Mach.Vm.touch sys client ~addr:buffer ~write:true ~bytes ();
-                   simple_message ~inline_bytes:64 ~ool:[ (buffer, bytes) ] ()
-                 end
-               in
-               for _ = 1 to iters do
-                 ignore (Mach.Ipc.call sys port (message ()))
-               done;
-               Mach.Port.destroy sys port)
-            : thread)
+        Scenario.spawn e server "srv" (fun () ->
+            Micro.consuming_server sys server port);
+        Scenario.spawn e client "cl" (fun () ->
+            let message = Micro.refilled_message sys client ~bytes in
+            for _ = 1 to iters do
+              ignore (Mach.Ipc.call sys port (message ()))
+            done;
+            Mach.Port.destroy sys port)
     | `Ibm_rpc | `Rpc_copy | `Rpc_remap ->
-        ignore
-          (Mach.Kernel.thread_spawn k server ~name:"srv" (fun () ->
-               Mach.Rpc.serve sys port (fun _msg -> simple_message ()))
-            : thread);
-        ignore
-          (Mach.Kernel.thread_spawn k client ~name:"cl" (fun () ->
-               (* Large payloads go out of line; the RPC layer remaps
-                  page-aligned regions and physically copies the rest, so
-                  `Rpc_copy (the copy-vs-remap baseline) defeats the
-                  auto-selection by offsetting into the page.  Filled
-                  once: the remap path shares pages copy-on-write, so a
-                  prepared buffer can be sent over and over. *)
-               let ool = bytes > Micro.ool_threshold in
-               let buffer =
-                 if not ool then 0
-                 else begin
-                   let b =
-                     Mach.Vm.allocate sys client ~bytes:(bytes + page_size) ()
-                   in
-                   Mach.Vm.touch sys client ~addr:b ~write:true ~bytes ();
-                   if system = `Rpc_copy then b + 32 else b
-                 end
-               in
-               let message () =
-                 if ool then
-                   simple_message ~inline_bytes:64 ~ool:[ (buffer, bytes) ] ()
-                 else simple_message ~inline_bytes:bytes ()
-               in
-               for _ = 1 to iters do
-                 ignore (Mach.Rpc.call sys port (message ()))
-               done;
-               Mach.Port.destroy sys port)
-            : thread)
+        Scenario.spawn e server "srv" (fun () ->
+            Mach.Rpc.serve sys port (fun _msg -> simple_message ()));
+        Scenario.spawn e client "cl" (fun () ->
+            (* Large payloads go out of line; the RPC layer remaps
+               page-aligned regions and physically copies the rest, so
+               `Rpc_copy (the copy-vs-remap baseline) defeats the
+               auto-selection by offsetting into the page.  Filled
+               once: the remap path shares pages copy-on-write, so a
+               prepared buffer can be sent over and over. *)
+            let ool = bytes > Micro.ool_threshold in
+            let buffer =
+              if not ool then 0
+              else begin
+                let b =
+                  Mach.Vm.allocate sys client ~bytes:(bytes + page_size) ()
+                in
+                Mach.Vm.touch sys client ~addr:b ~write:true ~bytes ();
+                if system = `Rpc_copy then b + 32 else b
+              end
+            in
+            let message () =
+              if ool then
+                simple_message ~inline_bytes:64 ~ool:[ (buffer, bytes) ] ()
+              else simple_message ~inline_bytes:bytes ()
+            in
+            for _ = 1 to iters do
+              ignore (Mach.Rpc.call sys port (message ()))
+            done;
+            Mach.Port.destroy sys port)
   done;
   let c0 = Machine.now m in
   let h0 = Unix.gettimeofday () in
-  Mach.Kernel.run k;
-  let host_ns = (Unix.gettimeofday () -. h0) *. 1e9 in
-  let ops = float_of_int (workers * iters) in
-  let stats = Mach.Ktext.buffer_stats k.Mach.Kernel.ktext in
-  ( float_of_int (Machine.now m - c0) /. ops,
-    host_ns /. ops,
-    Mach.Ipc.reply_cache_hits sys,
-    Mach.Ipc.reply_cache_misses sys,
-    stats )
+  fun () ->
+    let host_ns = (Unix.gettimeofday () -. h0) *. 1e9 in
+    let ops = float_of_int (workers * iters) in
+    ( float_of_int (Machine.now m - c0) /. ops,
+      host_ns /. ops,
+      Mach.Ipc.reply_cache_hits sys,
+      Mach.Ipc.reply_cache_misses sys,
+      Mach.Ktext.buffer_stats k.Mach.Kernel.ktext )
 
 let default_sizes = [ 0; 32; 512; 4096; 16384; 65536 ]
 
-let run ?(workers = 4) ?(iters = 200) ?(sizes = default_sizes)
-    ?(checks = false) () =
+let run ?(workers = 4) ?(iters = 200) ?(sizes = default_sizes) () =
   if sizes = [] then invalid_arg "Ipc_stress.run: empty size list";
-  (* Machcheck rides along by global install: every machine [measure]
-     boots attaches itself to the checker for the whole sweep. *)
-  Check.with_checker checks @@ fun chk ->
-  let hits = ref 0 and misses = ref 0 in
-  let allocs = ref 0 and frees = ref 0 and recycles = ref 0 in
-  let resets = ref 0 and peak = ref 0 in
   let point system name bytes =
-    let sim, host, h, ms, (kb : Mach.Ktext.buffer_stats) =
-      measure ~system ~workers ~iters ~bytes
-    in
-    hits := !hits + h;
-    misses := !misses + ms;
-    allocs := !allocs + kb.Mach.Ktext.bs_allocs;
-    frees := !frees + kb.Mach.Ktext.bs_frees;
-    recycles := !recycles + kb.Mach.Ktext.bs_recycles;
-    resets := !resets + kb.Mach.Ktext.bs_resets;
-    if kb.Mach.Ktext.bs_peak_bytes > !peak then
-      peak := kb.Mach.Ktext.bs_peak_bytes;
-    { pt_system = name; pt_bytes = bytes; pt_sim_cycles_per_op = sim;
-      pt_host_ns_per_op = host }
+    let sim, host, hits, misses, kb = measure ~system ~workers ~iters ~bytes in
+    ( { pt_system = name; pt_bytes = bytes; pt_sim_cycles_per_op = sim;
+        pt_host_ns_per_op = host },
+      (hits, misses, kb) )
   in
-  let points =
+  let runs =
     List.concat_map
       (fun bytes ->
         [ point `Mach_msg "mach_msg" bytes; point `Ibm_rpc "ibm_rpc" bytes ]
@@ -156,18 +111,21 @@ let run ?(workers = 4) ?(iters = 200) ?(sizes = default_sizes)
         else [])
       sizes
   in
+  (* counters summed over the runs, the buffer peak their maximum *)
+  let total f = List.fold_left (fun acc (_, run) -> f acc run) 0 runs in
+  let kb f = total (fun acc (_, _, (kb : Mach.Ktext.buffer_stats)) -> acc + f kb) in
   {
     r_workers = workers;
     r_iters = iters;
-    r_points = points;
-    r_reply_hits = !hits;
-    r_reply_misses = !misses;
-    r_kbuf_allocs = !allocs;
-    r_kbuf_frees = !frees;
-    r_kbuf_recycles = !recycles;
-    r_kbuf_resets = !resets;
-    r_kbuf_peak_bytes = !peak;
-    r_check = Option.map Check.report chk;
+    r_points = List.map fst runs;
+    r_reply_hits = total (fun acc (h, _, _) -> acc + h);
+    r_reply_misses = total (fun acc (_, ms, _) -> acc + ms);
+    r_kbuf_allocs = kb (fun kb -> kb.bs_allocs);
+    r_kbuf_frees = kb (fun kb -> kb.bs_frees);
+    r_kbuf_recycles = kb (fun kb -> kb.bs_recycles);
+    r_kbuf_resets = kb (fun kb -> kb.bs_resets);
+    r_kbuf_peak_bytes =
+      total (fun acc (_, _, kb) -> Int.max acc kb.Mach.Ktext.bs_peak_bytes);
   }
 
 let to_json r =

@@ -27,18 +27,10 @@ type result = {
   r_kbuf_recycles : int;
   r_kbuf_resets : int;  (** whole-arena exhaustion resets, summed *)
   r_kbuf_peak_bytes : int;  (** max peak across runs *)
-  r_check : Check.report option;
-      (** Machcheck report over the whole sweep when run with
-          [~checks:true]; [None] otherwise *)
 }
 
-val run :
-  ?workers:int -> ?iters:int -> ?sizes:int list -> ?checks:bool -> unit ->
-  result
+val run : ?workers:int -> ?iters:int -> ?sizes:int list -> unit -> result
 (** Defaults: 4 worker pairs, 200 round trips each, {!default_sizes}.
-    [~checks:true] runs the whole sweep under Machcheck (globally
-    installed for the duration, so every booted machine attaches) and
-    fills [r_check].
     @raise Invalid_argument on an empty size list. *)
 
 val to_json : result -> (string * Json.t) list

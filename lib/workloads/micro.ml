@@ -18,52 +18,43 @@ let per_op (d : Machine.Perf.snapshot) iters =
 let snapshot m = Machine.Perf.snapshot (Machine.Cpu.perf m.Machine.cpu)
 
 let table2 ?(iters = 2000) () =
-  let m = Machine.create Machine.Config.pentium_133 in
-  let k = Mach.Kernel.boot m in
-  let sys = k.Mach.Kernel.sys in
+  Scenario.run Scenario.base @@ fun e ->
+  let m = e.m and k = e.k and sys = e.sys in
   let client = Mach.Kernel.task_create k ~name:"client" ~personality:"bench" () in
   let server = Mach.Kernel.task_create k ~name:"server" ~personality:"bench" () in
   let port = Mach.Port.allocate sys ~receiver:server ~name:"svc" in
-  ignore
-    (Mach.Kernel.thread_spawn k server ~name:"srv" (fun () ->
-         Mach.Rpc.serve sys port (fun _ -> simple_message ()))
-      : thread);
+  Scenario.spawn e server "srv" (fun () ->
+      Mach.Rpc.serve sys port (fun _ -> simple_message ()));
   let trap = ref Machine.Perf.zero and rpc = ref Machine.Perf.zero in
-  ignore
-    (Mach.Kernel.thread_spawn k client ~name:"cl" (fun () ->
-         for _ = 1 to 200 do
-           ignore (Mach.Trap.thread_self sys)
-         done;
-         let t0 = snapshot m in
-         for _ = 1 to iters do
-           ignore (Mach.Trap.thread_self sys)
-         done;
-         trap := Machine.Perf.diff (snapshot m) t0;
-         (* a null RPC's ack is the bare [P_unit]: acknowledge it
-            explicitly so the round-trip being timed is the successful
-            protocol, not whatever the server happened to answer *)
-         let null_call () =
-           match Mach.Rpc.call sys port (simple_message ~inline_bytes:32 ()) with
-           | Ok { msg_payload = P_unit; _ } -> ()
-           | Ok _ | Error _ -> ()
-         in
-         for _ = 1 to 200 do
-           null_call ()
-         done;
-         let r0 = snapshot m in
-         for _ = 1 to iters do
-           null_call ()
-         done;
-         rpc := Machine.Perf.diff (snapshot m) r0;
-         Mach.Port.destroy sys port)
-      : thread);
-  Mach.Kernel.run k;
-  let ti, tc, tb, tcpi = per_op !trap iters in
-  let ri, rc, rb, rcpi = per_op !rpc iters in
-  ( { t2_label = "thread_self"; t2_instructions = ti; t2_cycles = tc;
-      t2_bus_cycles = tb; t2_cpi = tcpi },
-    { t2_label = "32-byte RPC"; t2_instructions = ri; t2_cycles = rc;
-      t2_bus_cycles = rb; t2_cpi = rcpi } )
+  (* the counters over [iters] calls of [f], after 200 warm-up calls *)
+  let timed f =
+    for _ = 1 to 200 do
+      f ()
+    done;
+    let t0 = snapshot m in
+    for _ = 1 to iters do
+      f ()
+    done;
+    Machine.Perf.diff (snapshot m) t0
+  in
+  Scenario.spawn e client "cl" (fun () ->
+      trap := timed (fun () -> ignore (Mach.Trap.thread_self sys));
+      (* a null RPC's ack is the bare [P_unit]: acknowledge it
+         explicitly so the round-trip being timed is the successful
+         protocol, not whatever the server happened to answer *)
+      rpc :=
+        timed (fun () ->
+            match Mach.Rpc.call sys port (simple_message ~inline_bytes:32 ()) with
+            | Ok { msg_payload = P_unit; _ } -> ()
+            | Ok _ | Error _ -> ());
+      Mach.Port.destroy sys port);
+  fun () ->
+    let row label d =
+      let i, c, b, cpi = per_op d iters in
+      { t2_label = label; t2_instructions = i; t2_cycles = c; t2_bus_cycles = b;
+        t2_cpi = cpi }
+    in
+    (row "thread_self" !trap, row "32-byte RPC" !rpc)
 
 (* --- E3: the 2-10x message-passing improvement ----------------------------- *)
 
@@ -78,73 +69,66 @@ type sweep_point = {
   sw_reply_misses : int;
 }
 
-(* One measured system: the client owns a reusable buffer which it
-   refills (write-touches) before every call — the realistic pattern
-   under which Mach's virtual copy pays its deferred costs — and the
-   server consumes the data in place. *)
+(* Mach's side of the message-size experiments: the client owns a
+   reusable buffer which it refills (write-touches) before every call —
+   the realistic pattern under which Mach's virtual copy pays its
+   deferred costs — and the server consumes the data in place: reads it
+   and updates it, breaking the receiver-side COW. *)
+let refilled_message sys client ~bytes =
+  let buffer =
+    if bytes > ool_threshold then Mach.Vm.allocate sys client ~bytes () else 0
+  in
+  fun () ->
+    if bytes <= ool_threshold then simple_message ~inline_bytes:bytes ()
+    else begin
+      Mach.Vm.touch sys client ~addr:buffer ~write:true ~bytes ();
+      simple_message ~inline_bytes:64 ~ool:[ (buffer, bytes) ] ()
+    end
+
+let consuming_server sys server port =
+  Mach.Ipc.serve sys port (fun msg ->
+      List.iter
+        (fun r ->
+          Mach.Vm.touch sys server ~addr:r.ool_addr ~write:true
+            ~bytes:r.ool_bytes ())
+        msg.msg_ool;
+      simple_message ())
+
+(* One measured system, one client/server pair. *)
 let measure_system ~iters ~bytes ~serve ~call =
-  let m = Machine.create Machine.Config.pentium_133 in
-  let k = Mach.Kernel.boot m in
-  let sys = k.Mach.Kernel.sys in
+  Scenario.run Scenario.base @@ fun e ->
+  let m = e.m and k = e.k and sys = e.sys in
   let client = Mach.Kernel.task_create k ~name:"client" () in
   let server = Mach.Kernel.task_create k ~name:"server" () in
   let port = Mach.Port.allocate sys ~receiver:server ~name:"svc" in
-  ignore
-    (Mach.Kernel.thread_spawn k server ~name:"srv" (fun () ->
-         serve sys server port)
-      : thread);
+  Scenario.spawn e server "srv" (fun () -> serve sys server port);
   let cycles = ref 0. in
   let hits = ref 0 and misses = ref 0 in
-  ignore
-    (Mach.Kernel.thread_spawn k client ~name:"cl" (fun () ->
-         let buffer =
-           if bytes > ool_threshold then Mach.Vm.allocate sys client ~bytes ()
-           else 0
-         in
-         let message () =
-           if bytes <= ool_threshold then simple_message ~inline_bytes:bytes ()
-           else begin
-             (* refill the buffer for this call *)
-             Mach.Vm.touch sys client ~addr:buffer ~write:true ~bytes ();
-             simple_message ~inline_bytes:64 ~ool:[ (buffer, bytes) ] ()
-           end
-         in
-         for _ = 1 to max 20 (iters / 10) do
-           call sys port (message ())
-         done;
-         let c0 = Machine.now m in
-         for _ = 1 to iters do
-           call sys port (message ())
-         done;
-         cycles := float_of_int (Machine.now m - c0) /. float_of_int iters;
-         hits := Mach.Ipc.reply_cache_hits sys;
-         misses := Mach.Ipc.reply_cache_misses sys;
-         Mach.Port.destroy sys port)
-      : thread);
-  Mach.Kernel.run k;
-  (!cycles, !hits, !misses)
+  Scenario.spawn e client "cl" (fun () ->
+      let message = refilled_message sys client ~bytes in
+      for _ = 1 to max 20 (iters / 10) do
+        call sys port (message ())
+      done;
+      let c0 = Machine.now m in
+      for _ = 1 to iters do
+        call sys port (message ())
+      done;
+      cycles := float_of_int (Machine.now m - c0) /. float_of_int iters;
+      hits := Mach.Ipc.reply_cache_hits sys;
+      misses := Mach.Ipc.reply_cache_misses sys;
+      Mach.Port.destroy sys port);
+  fun () -> (!cycles, !hits, !misses)
 
 let sweep_one ~iters ~bytes =
   (* Mach 3.0 mach_msg with reply ports and virtual copy *)
   let mach_cycles, reply_hits, reply_misses =
-    measure_system ~iters ~bytes
-      ~serve:(fun sys server port ->
-        Mach.Ipc.serve sys port (fun msg ->
-            (* consume the out-of-line data in place: read it and update
-               it, breaking the receiver-side COW *)
-            List.iter
-              (fun r ->
-                Mach.Vm.touch sys server ~addr:r.ool_addr ~write:true
-                  ~bytes:r.ool_bytes ())
-              msg.msg_ool;
-            simple_message ()))
+    measure_system ~iters ~bytes ~serve:consuming_server
       ~call:(fun sys port msg -> ignore (Mach.Ipc.call sys port msg))
   in
   (* the IBM RPC rework: data already physically copied to the server *)
   let rpc_cycles, _, _ =
     measure_system ~iters ~bytes
-      ~serve:(fun sys port_sys port ->
-        ignore port_sys;
+      ~serve:(fun sys _ port ->
         Mach.Rpc.serve sys port (fun _msg -> simple_message ()))
       ~call:(fun sys port msg -> ignore (Mach.Rpc.call sys port msg))
   in
@@ -168,70 +152,52 @@ type factor = {
   fx_factor : float;
 }
 
-(* the same op mix against any open/read/write/seek/close surface *)
-let file_mix ~ops ~open_ ~read ~write ~seek ~close =
-  let h = open_ () in
-  for i = 1 to ops do
-    seek h (i * 512 mod 4096);
-    ignore (read h 512);
-    ignore (write h 512)
-  done;
-  close h
+(* The same op mix against any file surface: a warm-up pass over a
+   quarter of [ops] (the cache and the code paths), then the timed pass;
+   cycles per op. *)
+let timed_mix m ~ops ~open_ ~op ~close =
+  let pass n =
+    let h = open_ () in
+    for i = 1 to n do
+      op h (i * 512 mod 4096)
+    done;
+    close h
+  in
+  pass (ops / 4);
+  let t0 = Machine.now m in
+  pass ops;
+  float_of_int (Machine.now m - t0) /. float_of_int ops
 
 let fileserver_factor ?(ops = 400) () =
   (* multi-server: minimal WPOS file stack on the Pentium machine *)
   let rpc_cycles =
-    let m = Machine.create Machine.Config.pentium_133 in
-    let services = Mk_services.Bootstrap.boot ~naming:Mk_services.Bootstrap.Simple_naming m in
-    let k = services.Mk_services.Bootstrap.kernel in
-    let disk = m.Machine.disk in
-    Fileserver.Hpfs.mkfs disk ();
-    let vfs = Fileserver.Vfs.create () in
-    let cache = Fileserver.Block_cache.create k disk () in
-    (match Fileserver.Hpfs.mount cache () with
-    | Ok pfs -> (
-        match Fileserver.Vfs.mount vfs ~at:"/os2" pfs with
-        | Ok () -> ()
-        | Error e -> failwith e)
-    | Error e -> failwith (Fileserver.Fs_types.fs_error_to_string e));
-    let fs =
-      Fileserver.File_server.start k services.Mk_services.Bootstrap.runtime vfs ()
-    in
-    let sem = Fileserver.Vfs.os2_semantics in
-    let app = Mach.Kernel.task_create k ~name:"app" () in
+    Scenario.run
+      {
+        Scenario.base with
+        boot = Services Simple_naming;
+        fs = Some 1;
+      }
+    @@ fun e ->
+    let module C = Fileserver.File_server.Client in
+    let fs = Option.get e.server in
+    let app = Mach.Kernel.task_create e.k ~name:"app" () in
     let cycles = ref 0. in
-    ignore
-      (Mach.Kernel.thread_spawn k app ~name:"app" (fun () ->
-           let open_ () =
-             match
-               Fileserver.File_server.Client.open_ fs sem ~path:"/os2/bench"
-                 ~create:true ()
-             with
-             | Ok h -> h
-             | Error e -> failwith (Fileserver.Fs_types.fs_error_to_string e)
-           in
-           let read h n =
-             match Fileserver.File_server.Client.read fs h ~bytes:n with
-             | Ok b -> Bytes.length b
-             | Error _ -> 0
-           in
-           let write h n =
-             match
-               Fileserver.File_server.Client.write fs h (Bytes.make n 'x')
-             with
-             | Ok k -> k
-             | Error _ -> 0
-           in
-           let seek h pos = Fileserver.File_server.Client.seek fs h ~pos in
-           let close h = Fileserver.File_server.Client.close fs h in
-           (* warm the cache and the code paths *)
-           file_mix ~ops:(ops / 4) ~open_ ~read ~write ~seek ~close;
-           let t0 = Machine.now m in
-           file_mix ~ops ~open_ ~read ~write ~seek ~close;
-           cycles := float_of_int (Machine.now m - t0) /. float_of_int ops)
-        : thread);
-    Mach.Kernel.run k;
-    !cycles
+    Scenario.spawn e app "app" (fun () ->
+        cycles :=
+          timed_mix e.m ~ops
+            ~open_:(fun () ->
+              match
+                C.open_ fs Fileserver.Vfs.os2_semantics ~path:"/os2/bench"
+                  ~create:true ()
+              with
+              | Ok h -> h
+              | Error err -> Scenario.fail_fs err)
+            ~op:(fun h pos ->
+              C.seek fs h ~pos;
+              ignore (C.read fs h ~bytes:512);
+              ignore (C.write fs h (Bytes.make 512 'x')))
+            ~close:(C.close fs));
+    fun () -> !cycles
   in
   (* monolithic: the same code in-kernel *)
   let trap_cycles =
@@ -240,27 +206,17 @@ let fileserver_factor ?(ops = 400) () =
     let cycles = ref 0. in
     ignore
       (Monolithic.spawn_process mono ~name:"app" (fun () ->
-           let open_ () =
-             match Monolithic.sys_open mono ~path:"/c/bench" ~create:true () with
-             | Ok h -> h
-             | Error e -> failwith (Fileserver.Fs_types.fs_error_to_string e)
-           in
-           let read h n =
-             match Monolithic.sys_read mono h ~bytes:n with
-             | Ok b -> Bytes.length b
-             | Error _ -> 0
-           in
-           let write h n =
-             match Monolithic.sys_write mono h (Bytes.make n 'x') with
-             | Ok k -> k
-             | Error _ -> 0
-           in
-           let seek h pos = Monolithic.sys_seek mono h ~pos in
-           let close h = Monolithic.sys_close mono h in
-           file_mix ~ops:(ops / 4) ~open_ ~read ~write ~seek ~close;
-           let t0 = Machine.now m in
-           file_mix ~ops ~open_ ~read ~write ~seek ~close;
-           cycles := float_of_int (Machine.now m - t0) /. float_of_int ops)
+           cycles :=
+             timed_mix m ~ops
+               ~open_:(fun () ->
+                 match Monolithic.sys_open mono ~path:"/c/bench" ~create:true () with
+                 | Ok h -> h
+                 | Error err -> Scenario.fail_fs err)
+               ~op:(fun h pos ->
+                 Monolithic.sys_seek mono h ~pos;
+                 ignore (Monolithic.sys_read mono h ~bytes:512);
+                 ignore (Monolithic.sys_write mono h (Bytes.make 512 'x')))
+               ~close:(Monolithic.sys_close mono))
         : Mach.Ktypes.task);
     Monolithic.run mono;
     !cycles

@@ -31,6 +31,14 @@ val ipc_sweep : ?iters:int -> sizes:int list -> unit -> sweep_point list
 
 val ool_threshold : int
 
+val refilled_message :
+  Mach.Sched.t -> Mach.Ktypes.task -> bytes:int -> unit ->
+  Mach.Ktypes.message_builder
+(** Each call refills the client's reusable buffer and builds a message. *)
+
+val consuming_server : Mach.Sched.t -> Mach.Ktypes.task -> Mach.Ktypes.port -> unit
+(** A [mach_msg] server that writes to every out-of-line region it gets. *)
+
 type factor = {
   fx_rpc_cycles_per_op : float;  (** multi-server: file server over RPC *)
   fx_trap_cycles_per_op : float;  (** monolithic: in-kernel file system *)

@@ -24,8 +24,6 @@
 
    All randomness is a seeded LCG: every number is deterministic. *)
 
-open Mach.Ktypes
-
 type point = {
   np_phase : string;
   np_ncpus : int;
@@ -56,15 +54,10 @@ type result = {
   nr_sessions : int;
   nr_flood_syns : int;
   nr_points : point list;
-  nr_check : Check.report option;
 }
-
-let config ~ncpus =
-  Machine.Config.with_ncpus Machine.Config.pentium_133 ~n:ncpus
 
 (* --- deterministic randomness -------------------------------------------- *)
 
-let lcg s = ((s * 1103515245) + 12345) land 0x3fffffff
 let lcg_float s = float_of_int s /. float_of_int 0x40000000
 
 (* Zipf(alpha) over [0, n): cumulative distribution, linear probe. *)
@@ -83,36 +76,17 @@ let zipf_pick cdf u =
   let rec go i = if i >= n - 1 || cdf.(i) >= u then i else go (i + 1) in
   go 0
 
-(* --- latency collection --------------------------------------------------- *)
+(* --- latency collection and shared plumbing ------------------------------ *)
 
-type lat = { mutable ls : int list; mutable n : int }
-
-let lat_create () = { ls = []; n = 0 }
-
-let lat_note l x =
-  l.ls <- x :: l.ls;
-  l.n <- l.n + 1
-
-let percentile l p =
-  if l.n = 0 then 0
-  else begin
-    let a = Array.of_list l.ls in
-    Array.sort compare a;
-    a.(min (l.n - 1) (int_of_float (p *. float_of_int l.n)))
-  end
-
-(* One collector per shard.  Percentiles are reported for the busiest
+(* One sample list per shard.  Percentiles are reported for the busiest
    shard: the tail gate asks "does the heavy-hitter shard's own service
    degrade nonlinearly under load?"  Cross-shard load imbalance is a
    separate number (occupancy fairness), not smeared into the latency
-   distribution. *)
-let lats_create net =
-  Array.init (Netserver.shard_count net) (fun _ -> lat_create ())
-
-let lats_note ls s x = lat_note ls.(s) x
-let busiest ls = Array.fold_left (fun b l -> if l.n > b.n then l else b) ls.(0) ls
-
-(* --- shared plumbing ------------------------------------------------------ *)
+   distribution.  The probe is installed before the setup spawns. *)
+let probe net =
+  let lats = Array.make (Netserver.shard_count net) [] in
+  Netserver.set_delivery_probe net (fun s x -> lats.(s) <- x :: lats.(s));
+  lats
 
 let fairness net =
   let d = Netserver.shard_delivered net in
@@ -122,28 +96,27 @@ let fairness net =
     let mean = float_of_int sum /. float_of_int (Array.length d) in
     float_of_int (Array.fold_left max 0 d) /. mean
 
-let spawn_on k task name ~cpu body =
-  ignore
-    (Mach.Kernel.thread_spawn k task ~name ~affinity:cpu ~bound:true body
-      : thread)
-
-let sleep sys cycles = ignore (Mach.Clock.sleep_for sys ~cycles : kern_return)
-
-let finish ~phase ~ncpus ~clients ~ops ~conns ~lat ~retries ~lost
-    ~half_open_peak m net =
-  let wall = Machine.global_now m in
+let finish ~phase ~clients ~ops ~conns ~lats ?(retries = 0) ?(lost = 0)
+    ?(half_open_peak = 0) (e : Scenario.env) =
+  let net = Option.get e.netserver and wall = Machine.global_now e.m in
+  Netserver.clear_delivery_probe net;
+  let busiest =
+    Array.fold_left
+      (fun b l -> if List.length l > List.length b then l else b)
+      lats.(0) lats
+  in
+  let pct = Scenario.percentiles busiest in
   {
     np_phase = phase;
-    np_ncpus = ncpus;
+    np_ncpus = Machine.ncpus e.m;
     np_clients = clients;
     np_ops = ops;
     np_wall_cycles = wall;
-    np_throughput =
-      (if wall = 0 then 0.0 else float_of_int ops /. float_of_int wall *. 1e6);
+    np_throughput = Scenario.per_mcycle ops wall;
     np_speedup = 0.0;  (* filled in once the 1-CPU anchor is known *)
     np_conns = conns;
-    np_p50_cycles = percentile (busiest lat) 0.50;
-    np_p99_cycles = percentile (busiest lat) 0.99;
+    np_p50_cycles = pct 0.50;
+    np_p99_cycles = pct 0.99;
     np_fairness = fairness net;
     np_syn_drops = Netserver.syn_drops net;
     np_wire_drops = Netserver.wire_drops net;
@@ -176,15 +149,13 @@ let burst_window = 48
 let poll_gap = 4_000  (* cycles between the generator's drain polls *)
 
 let measure_firehose ~phase ~ncpus ~endpoints ~clients ~packets ~bytes ~zipf =
-  let m = Machine.create (config ~ncpus) in
-  let k = Mach.Kernel.boot m in
-  let net = Netserver.create k ~style:Finegrain.Coarse in
-  let lat = lats_create net in
-  Netserver.set_delivery_probe net (lats_note lat);
-  let task = Mach.Kernel.task_create k ~name:"storm" () in
+  Scenario.run { Scenario.base with ncpus; net = Some 64 } @@ fun e ->
+  let m = e.m and net = Option.get e.netserver in
+  let lats = probe net in
+  let task = Mach.Kernel.task_create e.k ~name:"storm" () in
   let cdf = zipf_cdf ~n:endpoints ~alpha:1.0 in
   let per_lane = packets / ncpus in
-  let seeds = Array.init ncpus (fun lane -> lcg ((lane * 7919) + 17)) in
+  let seeds = Array.init ncpus (fun lane -> Scenario.lcg ((lane * 7919) + 17)) in
   let sent = Array.make ncpus 0 in
   let injected = ref 0 in
   let schedule at f = Machine.Event_queue.schedule m.Machine.events ~at f in
@@ -196,7 +167,7 @@ let measure_firehose ~phase ~ncpus ~endpoints ~clients ~packets ~bytes ~zipf =
       for lane = 0 to ncpus - 1 do
         let n = min burst_window (per_lane - sent.(lane)) in
         for _ = 1 to n do
-          seeds.(lane) <- lcg seeds.(lane);
+          seeds.(lane) <- Scenario.lcg seeds.(lane);
           let dst =
             if zipf then zipf_pick cdf (lcg_float seeds.(lane))
             else seeds.(lane) mod endpoints
@@ -211,50 +182,48 @@ let measure_firehose ~phase ~ncpus ~endpoints ~clients ~packets ~bytes ~zipf =
     end
     (* else: offered load exhausted and drained — the generator retires *)
   in
-  spawn_on k task "bind" ~cpu:0 (fun () ->
+  Scenario.spawn e task ~cpu:0 "bind" (fun () ->
       for i = 0 to endpoints - 1 do
         match Netserver.udp_socket net ~port:(100 + i) with
         | Error e -> failwith e
         | Ok _ -> ()
       done;
       schedule (Machine.now m + poll_gap) generator);
-  Mach.Kernel.run k;
-  let delivered = Array.fold_left ( + ) 0 (Netserver.shard_delivered net) in
-  Netserver.clear_delivery_probe net;
-  finish ~phase ~ncpus ~clients ~ops:delivered ~conns:0 ~lat ~retries:0
-    ~lost:0 ~half_open_peak:0 m net
+  fun () ->
+    let delivered = Array.fold_left ( + ) 0 (Netserver.shard_delivered net) in
+    finish ~phase ~clients ~ops:delivered ~conns:0 ~lats e
 
 (* --- churn: TCP open/echo/close sessions --------------------------------- *)
 
-let measure_churn ~ncpus ~sessions =
-  let m = Machine.create (config ~ncpus) in
-  let k = Mach.Kernel.boot m in
-  let net = Netserver.create k ~style:Finegrain.Coarse in
-  let lat = lats_create net in
-  Netserver.set_delivery_probe net (lats_note lat);
-  let server = Mach.Kernel.task_create k ~name:"web" () in
-  let clients = Mach.Kernel.task_create k ~name:"surfers" () in
-  let total = sessions * ncpus in
-  spawn_on k server "acceptor" ~cpu:0 (fun () ->
+(* A web server on port 80: an acceptor on CPU 0 hands each of [conns]
+   connections to its own unbound handler thread (the stealer spreads
+   them; the data itself steers by connection hash), which echoes one
+   request and closes. *)
+let web_server (e : Scenario.env) ~conns =
+  let net = Option.get e.netserver in
+  let server = Mach.Kernel.task_create e.k ~name:"web" () in
+  Scenario.spawn e server ~cpu:0 "acceptor" (fun () ->
       match Netserver.tcp_listen net ~port:80 with
-      | Error e -> failwith e
+      | Error err -> failwith err
       | Ok l ->
-          for h = 1 to total do
+          for h = 1 to conns do
             let c = Netserver.tcp_accept net l in
-            (* one handler thread per connection, unbound: the stealer
-               spreads them; the data itself steers by connection hash *)
-            ignore
-              (Mach.Kernel.thread_spawn k server
-                 ~name:(Printf.sprintf "h%d" h)
-                 (fun () ->
-                   let n = Netserver.tcp_recv net c in
-                   Netserver.tcp_send net c ~bytes:n;
-                   Netserver.close net c)
-                : thread)
-          done);
+            Scenario.spawn e server (Printf.sprintf "h%d" h) (fun () ->
+                let n = Netserver.tcp_recv net c in
+                Netserver.tcp_send net c ~bytes:n;
+                Netserver.close net c)
+          done)
+
+let measure_churn ~ncpus ~sessions =
+  Scenario.run { Scenario.base with ncpus; net = Some 64 } @@ fun e ->
+  let net = Option.get e.netserver in
+  let lats = probe net in
+  let total = sessions * ncpus in
+  web_server e ~conns:total;
+  let clients = Mach.Kernel.task_create e.k ~name:"surfers" () in
   let completed = ref 0 in
   for cpu = 0 to ncpus - 1 do
-    spawn_on k clients (Printf.sprintf "client%d" cpu) ~cpu (fun () ->
+    Scenario.spawn e clients ~cpu (Printf.sprintf "client%d" cpu) (fun () ->
         for s = 1 to sessions do
           match Netserver.tcp_connect net ~dst_port:80 with
           | Error e -> failwith e
@@ -265,14 +234,12 @@ let measure_churn ~ncpus ~sessions =
               incr completed
         done)
   done;
-  Mach.Kernel.run k;
-  if !completed <> total then
-    failwith
-      (Printf.sprintf "Net_storm: churn completed %d/%d sessions" !completed
-         total);
-  Netserver.clear_delivery_probe net;
-  finish ~phase:"churn" ~ncpus ~clients:ncpus ~ops:!completed ~conns:total
-    ~lat ~retries:0 ~lost:0 ~half_open_peak:0 m net
+  fun () ->
+    if !completed <> total then
+      failwith
+        (Printf.sprintf "Net_storm: churn completed %d/%d sessions" !completed
+           total);
+    finish ~phase:"churn" ~clients:ncpus ~ops:!completed ~conns:total ~lats e
 
 (* --- synflood: backpressure + acked UDP ops over a lossy wire ------------ *)
 
@@ -280,129 +247,54 @@ let measure_churn ~ncpus ~sessions =
    requests and replies both cross the faulty wire, so completion takes
    bounded retries.  [lost] counts ops that exhausted their budget —
    the acceptance gate requires zero. *)
-let poll_reply sys net s ~polls ~gap =
-  let rec go n =
-    match Netserver.try_recv net s with
-    | Some _ ->
-        (* drain stale duplicates from earlier retries of this op *)
-        let rec drain () =
-          match Netserver.try_recv net s with
-          | Some _ -> drain ()
-          | None -> ()
-        in
-        drain ();
-        true
-    | None ->
-        if n = 0 then false
-        else begin
-          sleep sys gap;
-          go (n - 1)
-        end
-  in
-  go polls
-
 let measure_synflood ~ncpus ~flood_syns ~victim_ops =
-  let m = Machine.create (config ~ncpus) in
-  let k = Mach.Kernel.boot m in
-  let sys = k.Mach.Kernel.sys in
-  let net = Netserver.create ~backlog:16 k ~style:Finegrain.Coarse in
-  let plan = Mach.Fault.create ~seed:42 () in
-  (* one send in eight vanishes on the wire *)
-  Mach.Fault.set_rates plan ~drop_ppm:125_000 ();
-  sys.Mach.Sched.faults <- Some plan;
-  let lat = lats_create net in
-  Netserver.set_delivery_probe net (lats_note lat);
-  let task = Mach.Kernel.task_create k ~name:"siege" () in
-  let retries = ref 0 and lost = ref 0 and acked = ref 0 in
-  spawn_on k task "echo" ~cpu:0 (fun () ->
-      match Netserver.udp_socket net ~port:7 with
-      | Error e -> failwith e
-      | Ok s ->
-          let rec serve () =
-            let src, n = Netserver.udp_recv net s in
-            Netserver.udp_send net s ~dst_port:src ~bytes:n;
-            serve ()
-          in
-          serve ());
-  spawn_on k task "target" ~cpu:0 (fun () ->
+  let faults ~disk:_ =
+    let plan = Mach.Fault.create ~seed:42 () in
+    (* one send in eight vanishes on the wire *)
+    Mach.Fault.set_rates plan ~drop_ppm:125_000 ();
+    plan
+  in
+  Scenario.run { Scenario.base with ncpus; net = Some 16; faults = Some faults }
+  @@ fun e ->
+  let net = Option.get e.netserver in
+  let lats = probe net in
+  let task = Mach.Kernel.task_create e.k ~name:"siege" () in
+  Scenario.echo_server e task;
+  Scenario.spawn e task ~cpu:0 "target" (fun () ->
       (* the attacked listener: nobody accepts, the backlog bounds it *)
       match Netserver.tcp_listen net ~port:443 with
       | Error e -> failwith e
       | Ok _ -> ());
-  spawn_on k task "attacker" ~cpu:(min 1 (ncpus - 1)) (fun () ->
-      sleep sys 2_000;
+  Scenario.spawn e task ~cpu:(min 1 (ncpus - 1)) "attacker" (fun () ->
+      Scenario.sleep e 2_000;
       for i = 1 to flood_syns do
         Netserver.inject_syn net ~src_port:(40_000 + i) ~dst_port:443
           ~conn:(1_000_000 + i);
-        if i mod 32 = 0 then
-          sleep sys 10_000
+        if i mod 32 = 0 then Scenario.sleep e 10_000
       done);
-  for cpu = 0 to ncpus - 1 do
-    spawn_on k task (Printf.sprintf "victim%d" cpu) ~cpu (fun () ->
-        sleep sys 2_000;
-        match Netserver.udp_socket net ~port:(20_000 + cpu) with
-        | Error e -> failwith e
-        | Ok s ->
-            for _ = 1 to victim_ops do
-              let rec attempt budget =
-                if budget = 0 then incr lost
-                else begin
-                  Netserver.udp_send net s ~dst_port:7 ~bytes:160;
-                  if poll_reply sys net s ~polls:12 ~gap:6_000 then incr acked
-                  else begin
-                    incr retries;
-                    attempt (budget - 1)
-                  end
-                end
-              in
-              attempt 25
-            done)
-  done;
-  Mach.Kernel.run k;
-  sys.Mach.Sched.faults <- None;
-  Netserver.clear_delivery_probe net;
-  if !acked + !lost <> victim_ops * ncpus then
-    failwith "Net_storm: synflood op accounting is broken";
-  finish ~phase:"synflood" ~ncpus ~clients:ncpus ~ops:!acked ~conns:0 ~lat
-    ~retries:!retries ~lost:!lost ~half_open_peak:(Netserver.half_open net) m
-    net
+  let t = Scenario.echo_clients e task ~ops:victim_ops ~budget:25 ignore in
+  fun () ->
+    if t.acked + t.lost <> victim_ops * ncpus then
+      failwith "Net_storm: synflood op accounting is broken";
+    finish ~phase:"synflood" ~clients:ncpus ~ops:t.acked ~conns:0 ~lats
+      ~retries:t.retries ~lost:t.lost ~half_open_peak:(Netserver.half_open net)
+      e
 
 (* --- slowloris: half-open waves vs the reaper ----------------------------- *)
 
 let measure_slowloris ~ncpus ~flood_syns ~victim_ops =
-  let m = Machine.create (config ~ncpus) in
-  let k = Mach.Kernel.boot m in
-  let sys = k.Mach.Kernel.sys in
-  let net = Netserver.create ~backlog:256 k ~style:Finegrain.Coarse in
-  let lat = lats_create net in
-  Netserver.set_delivery_probe net (lats_note lat);
-  let server = Mach.Kernel.task_create k ~name:"web" () in
-  let task = Mach.Kernel.task_create k ~name:"loris" () in
+  Scenario.run { Scenario.base with ncpus; net = Some 256 } @@ fun e ->
+  let net = Option.get e.netserver in
+  let lats = probe net in
+  (* victims send immediately; a slowloris child never produces data and
+     wedges its handler — the reaper, not the handler, is the defence *)
+  web_server e ~conns:max_int;
+  let task = Mach.Kernel.task_create e.k ~name:"loris" () in
   let retries = ref 0 and lost = ref 0 and acked = ref 0 in
   let peak = ref 0 in
-  spawn_on k server "acceptor" ~cpu:0 (fun () ->
-      match Netserver.tcp_listen net ~port:80 with
-      | Error e -> failwith e
-      | Ok l ->
-          let rec accept_loop h =
-            let c = Netserver.tcp_accept net l in
-            ignore
-              (Mach.Kernel.thread_spawn k server
-                 ~name:(Printf.sprintf "h%d" h)
-                 (fun () ->
-                   (* victims send immediately; a slowloris child never
-                      produces data and wedges this handler — the reaper,
-                      not the handler, is the defence *)
-                   let n = Netserver.tcp_recv net c in
-                   Netserver.tcp_send net c ~bytes:n;
-                   Netserver.close net c)
-                : thread);
-            accept_loop (h + 1)
-          in
-          accept_loop 0);
   let waves = 5 in
-  spawn_on k task "slowloris" ~cpu:(min 1 (ncpus - 1)) (fun () ->
-      sleep sys 2_000;
+  Scenario.spawn e task ~cpu:(min 1 (ncpus - 1)) "slowloris" (fun () ->
+      Scenario.sleep e 2_000;
       let per_wave = max 1 (flood_syns / waves) in
       for w = 0 to waves - 1 do
         for i = 1 to per_wave do
@@ -411,18 +303,18 @@ let measure_slowloris ~ncpus ~flood_syns ~victim_ops =
             ~dst_port:80
             ~conn:(2_000_000 + (w * per_wave) + i)
         done;
-        sleep sys 150_000
+        Scenario.sleep e 150_000
       done);
-  spawn_on k task "reaper" ~cpu:0 (fun () ->
+  Scenario.spawn e task ~cpu:0 "reaper" (fun () ->
       (* periodic stale-embryo reaping, bounded so the run terminates *)
       for _ = 1 to (waves * 2) + 2 do
-        sleep sys 100_000;
+        Scenario.sleep e 100_000;
         peak := max !peak (Netserver.half_open net);
         ignore (Netserver.reap_half_open net ~older_than:120_000 : int)
       done);
   for cpu = 0 to ncpus - 1 do
-    spawn_on k task (Printf.sprintf "victim%d" cpu) ~cpu (fun () ->
-        sleep sys 4_000;
+    Scenario.spawn e task ~cpu (Printf.sprintf "victim%d" cpu) (fun () ->
+        Scenario.sleep e 4_000;
         for s = 1 to victim_ops do
           let rec attempt budget =
             if budget = 0 then incr lost
@@ -434,24 +326,20 @@ let measure_slowloris ~ncpus ~flood_syns ~victim_ops =
                     Netserver.established c
                     || n > 0
                        && begin
-                            sleep sys 6_000;
+                            Scenario.sleep e 6_000;
                             poll (n - 1)
                           end
                   in
-                  if poll 10 then begin
-                    Netserver.tcp_send net c ~bytes:(96 + (s mod 5));
-                    if poll_reply sys net c ~polls:12 ~gap:6_000 then begin
-                      incr acked;
-                      Netserver.close net c
-                    end
-                    else begin
-                      Netserver.close net c;
-                      incr retries;
-                      attempt (budget - 1)
-                    end
-                  end
+                  let ok =
+                    poll 10
+                    && begin
+                         Netserver.tcp_send net c ~bytes:(96 + (s mod 5));
+                         Scenario.poll_reply e c
+                       end
+                  in
+                  Netserver.close net c;
+                  if ok then incr acked
                   else begin
-                    Netserver.close net c;
                     incr retries;
                     attempt (budget - 1)
                   end
@@ -459,39 +347,25 @@ let measure_slowloris ~ncpus ~flood_syns ~victim_ops =
           attempt 25
         done)
   done;
-  Mach.Kernel.run k;
-  (* final sweep: nothing half-open survives the phase *)
-  ignore (Netserver.reap_half_open net ~older_than:0 : int);
-  Netserver.clear_delivery_probe net;
-  if Netserver.half_open net <> 0 then
-    failwith "Net_storm: slowloris left half-open connections unreaped";
-  finish ~phase:"slowloris" ~ncpus ~clients:ncpus ~ops:!acked ~conns:!acked
-    ~lat ~retries:!retries ~lost:!lost ~half_open_peak:!peak m net
+  fun () ->
+    (* final sweep: nothing half-open survives the phase *)
+    ignore (Netserver.reap_half_open net ~older_than:0 : int);
+    if Netserver.half_open net <> 0 then
+      failwith "Net_storm: slowloris left half-open connections unreaped";
+    finish ~phase:"slowloris" ~clients:ncpus ~ops:!acked ~conns:!acked ~lats
+      ~retries:!retries ~lost:!lost ~half_open_peak:!peak e
 
 (* --- sweep ---------------------------------------------------------------- *)
 
 let default_cpus = [ 1; 2; 4; 8 ]
 
-let with_speedups points =
-  let anchor ph =
-    List.find_opt (fun p -> p.np_phase = ph && p.np_ncpus = 1) points
-  in
-  List.map
-    (fun p ->
-      match anchor p.np_phase with
-      | Some a when a.np_throughput > 0.0 ->
-          { p with np_speedup = p.np_throughput /. a.np_throughput }
-      | _ -> { p with np_speedup = 1.0 })
-    points
-
 let run ?(cpus = default_cpus) ?(endpoints = 32) ?(clients = 20_000)
     ?(packets = 12_000) ?(bytes = 512) ?(sessions = 24) ?(flood_syns = 200)
-    ?(victim_ops = 12) ?(checks = false) () =
+    ?(victim_ops = 12) () =
   if cpus = [] then invalid_arg "Net_storm.run: empty CPU list";
   List.iter
     (fun n -> if n < 1 then invalid_arg "Net_storm.run: ncpus must be >= 1")
     cpus;
-  Check.with_checker checks @@ fun chk ->
   let flood_ncpus = List.fold_left max 1 cpus in
   let points =
     List.concat_map
@@ -517,8 +391,11 @@ let run ?(cpus = default_cpus) ?(endpoints = 32) ?(clients = 20_000)
     nr_bytes = bytes;
     nr_sessions = sessions;
     nr_flood_syns = flood_syns;
-    nr_points = with_speedups points;
-    nr_check = Option.map Check.report chk;
+    nr_points =
+      Scenario.speedups
+        (fun p -> (p.np_phase, p.np_ncpus, p.np_throughput))
+        (fun p np_speedup -> { p with np_speedup })
+        points;
   }
 
 (* --- acceptance gates ------------------------------------------------------ *)

@@ -45,7 +45,6 @@ type result = {
   nr_sessions : int;
   nr_flood_syns : int;
   nr_points : point list;
-  nr_check : Check.report option;  (* Machcheck findings, when enabled *)
 }
 
 val run :
@@ -57,31 +56,11 @@ val run :
   ?sessions:int ->
   ?flood_syns:int ->
   ?victim_ops:int ->
-  ?checks:bool ->
   unit ->
   result
 (** Defaults: cpus [1;2;4;8], 32 endpoints, 20_000 clients, 12_000
     packets per firehose point, 512-byte payloads, 24 sessions per CPU,
     200 flood SYNs, 12 victim ops per CPU. *)
-
-(** {2 Helpers shared with {!Fault_storm}} *)
-
-val lcg : int -> int
-(** One step of the seeded generator behind every random choice. *)
-
-val spawn_on :
-  Mach.Kernel.t -> Mach.Ktypes.task -> string -> cpu:int -> (unit -> unit) ->
-  unit
-(** Spawn a thread bound to [cpu]. *)
-
-val sleep : Mach.Sched.t -> int -> unit
-(** Sleep the calling thread for that many cycles. *)
-
-val poll_reply :
-  Mach.Sched.t -> Netserver.t -> Netserver.socket -> polls:int -> gap:int ->
-  bool
-(** Poll a socket for a reply up to [polls] times, [gap] cycles apart,
-    draining duplicates left by earlier retries of the same operation. *)
 
 val gates : result -> Experiment.gate list
 (** Steady-phase packets/sec at 4 CPUs at least 2.5x of 1 CPU (when the

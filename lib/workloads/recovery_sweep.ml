@@ -61,7 +61,6 @@ type result = {
   r_points : crash_point list;
   r_overhead : overhead_point list;
   r_latency : latency_point list;
-  r_check : Check.report option;
 }
 
 (* --- the scripted workload ----------------------------------------------- *)
@@ -168,49 +167,31 @@ let verify (pfs : F.Fs_types.pfs) expect ~lost =
 
 (* --- Machcheck hooks ------------------------------------------------------ *)
 
-let chk_point (sys : Mach.Sched.t) =
-  match sys.Mach.Sched.checks with
-  | Some c -> Check.crash_point_checked c
-  | None -> ()
-
-let chk_lost (sys : Mach.Sched.t) detail =
-  match sys.Mach.Sched.checks with
-  | Some c -> Check.crash_lost_write c detail
-  | None -> ()
-
-let chk_torn (sys : Mach.Sched.t) detail =
-  match sys.Mach.Sched.checks with
-  | Some c -> Check.crash_torn_state c detail
-  | None -> ()
+(* Tell the attached checker, if any. *)
+let chk (sys : Mach.Sched.t) f = Option.iter f sys.Mach.Sched.checks
 
 (* --- one system per point ------------------------------------------------- *)
 
 type fmt = Plain | Journalled
 
-let boot_fs fmt =
-  let m = Machine.create Machine.Config.pentium_133 in
-  let k = Mach.Kernel.boot m in
-  let disk = m.Machine.disk in
-  (match fmt with
-  | Plain -> F.Hpfs.mkfs disk ()
-  | Journalled -> F.Jfs.mkfs disk ());
-  let cache = F.Block_cache.create k disk () in
-  let pfs =
-    match
-      (match fmt with
-      | Plain -> F.Hpfs.mount cache ()
-      | Journalled -> F.Jfs.mount cache ())
-    with
-    | Ok pfs -> pfs
-    | Error e -> Fault_sweep.fail_fs e
+(* One fresh system per run: the format made and mounted at the pfs
+   layer, then [f e disk cache pfs] gives the body of the one driver
+   thread (disk I/O blocks) and the finisher read after the run. *)
+let with_fs ?faults fmt f =
+  Scenario.run { Scenario.base with faults } @@ fun e ->
+  let disk = e.m.Machine.disk in
+  let mkfs, mount =
+    match fmt with
+    | Plain -> ((fun d -> F.Hpfs.mkfs d ()), fun c -> F.Hpfs.mount c ())
+    | Journalled -> ((fun d -> F.Jfs.mkfs d ()), fun c -> F.Jfs.mount c ())
   in
-  (m, k, disk, cache, pfs)
-
-let spawn_main k body =
-  let task = Mach.Kernel.task_create k ~name:"recovery-sweep" () in
-  ignore
-    (Mach.Kernel.thread_spawn k task ~name:"driver" body : Mach.Ktypes.thread);
-  Mach.Kernel.run k
+  mkfs disk;
+  let cache = F.Block_cache.create e.k disk () in
+  let pfs = Result.fold ~ok:Fun.id ~error:Scenario.fail_fs (mount cache) in
+  let body, finish = f e disk cache pfs in
+  let task = Mach.Kernel.task_create e.k ~name:"recovery-sweep" () in
+  Scenario.spawn e task "driver" body;
+  finish
 
 (* The un-faulted reference run: how many disk writes does the workload
    issue?  That count is the crash-point index space — the same script
@@ -218,72 +199,80 @@ let spawn_main k body =
    sequence, so "power cut at write [n]" is meaningful for n in
    [1 .. total]. *)
 let count_writes ~ops =
-  let m, k, disk, _cache, pfs = boot_fs Journalled in
-  ignore m;
+  with_fs Journalled @@ fun _ disk _ pfs ->
   let w0 = Machine.Disk.writes_applied disk in
-  let expect = ref [] in
-  spawn_main k (fun () -> run_script pfs disk (script ops) expect);
-  Machine.Disk.writes_applied disk - w0
+  ( (fun () -> run_script pfs disk (script ops) (ref [])),
+    fun () -> Machine.Disk.writes_applied disk - w0 )
+
+(* The supervised restart after a crash: a recovery mount against a cold
+   cache (the dead incarnation's dirty blocks are gone, as they would
+   be).  On success, the volume, what the journal replay did and what
+   [during] made of the cache; either way, the cycles from the mount to
+   the end of [during]. *)
+let recover (e : Scenario.env) disk during =
+  let cache = F.Block_cache.create e.k disk () in
+  let t0 = Machine.now e.m in
+  let mounted =
+    Result.map
+      (fun pfs ->
+        ( pfs,
+          Option.value (F.Jfs.last_recovery cache) ~default:F.Journal.clean_scan,
+          during cache ))
+      (F.Jfs.mount cache ())
+  in
+  (mounted, Machine.now e.m - t0)
 
 let run_crash_point ~seed ~ops ~n =
-  let m, k, disk, _cache, pfs = boot_fs Journalled in
-  let sys = k.Mach.Kernel.sys in
-  Drivers.Disk_driver.arm_faults k disk;
-  let plan = Mach.Fault.create ~seed () in
-  Mach.Fault.at_disk_write plan ~disk:(Machine.Disk.name disk) ~n
-    Mach.Fault.Power_cut;
-  sys.Mach.Sched.faults <- Some plan;
+  let faults ~disk =
+    let plan = Mach.Fault.create ~seed () in
+    Mach.Fault.at_disk_write plan ~disk ~n Mach.Fault.Power_cut;
+    plan
+  in
+  with_fs ~faults Journalled @@ fun e disk _ pfs ->
   let expect = ref [] in
   let lost = ref 0 in
   let torn = ref 0 in
-  let rv = ref F.Journal.clean_scan in
   let fsck_count = ref 0 in
-  let t0 = ref 0 in
-  let t1 = ref 0 in
-  spawn_main k (fun () ->
+  let outcome = ref (F.Journal.clean_scan, 0) in
+  let torn_state detail =
+    incr torn;
+    chk e.sys (fun c ->
+        Check.crash_torn_state c (Printf.sprintf "crash@write %d: %s" n detail))
+  in
+  ( (fun () ->
       run_script pfs disk (script ops) expect;
       (* the crash has happened (the plan cut power at write [n]); now
-         play the supervised restart: faults off, power back, and a
-         recovery mount against a cold cache — the dead incarnation's
-         dirty blocks are gone, as they would be *)
-      sys.Mach.Sched.faults <- None;
+         play the supervised restart: faults off, power back *)
+      e.sys.Mach.Sched.faults <- None;
       Machine.Disk.power_restore disk;
-      let cache2 = F.Block_cache.create k disk () in
-      t0 := Machine.now m;
-      (match F.Jfs.mount cache2 () with
-      | Ok pfs2 ->
-          (match F.Jfs.last_recovery cache2 with
-          | Some r -> rv := r
-          | None -> ());
-          let findings = F.Jfs.fsck cache2 () in
-          t1 := Machine.now m;
+      (match recover e disk (fun cache -> F.Jfs.fsck cache ()) with
+      | Ok (pfs2, rv, findings), cycles ->
+          outcome := (rv, cycles);
           fsck_count := List.length findings;
-          List.iter
-            (fun f ->
-              incr torn;
-              chk_torn sys (Printf.sprintf "crash@write %d: fsck: %s" n f))
-            findings;
+          List.iter (fun f -> torn_state ("fsck: " ^ f)) findings;
           verify pfs2 !expect ~lost:(fun detail ->
               incr lost;
-              chk_lost sys (Printf.sprintf "crash@write %d: %s" n detail))
-      | Error e ->
-          t1 := Machine.now m;
-          incr torn;
-          chk_torn sys
-            (Printf.sprintf "crash@write %d: recovery mount failed: %s" n
-               (F.Fs_types.fs_error_to_string e)));
-      chk_point sys);
-  {
-    cp_write = n;
-    cp_acked = List.length !expect;
-    cp_replayed_txns = !rv.F.Journal.rv_replayed_txns;
-    cp_replayed_blocks = !rv.F.Journal.rv_replayed_blocks;
-    cp_discarded = !rv.F.Journal.rv_discarded;
-    cp_fsck_findings = !fsck_count;
-    cp_lost = !lost;
-    cp_torn = !torn;
-    cp_recovery_cycles = max 0 (!t1 - !t0);
-  }
+              chk e.sys (fun c ->
+                  Check.crash_lost_write c
+                    (Printf.sprintf "crash@write %d: %s" n detail)))
+      | Error err, cycles ->
+          outcome := (F.Journal.clean_scan, cycles);
+          torn_state
+            ("recovery mount failed: " ^ F.Fs_types.fs_error_to_string err));
+      chk e.sys Check.crash_point_checked),
+    fun () ->
+      let rv, cycles = !outcome in
+      {
+        cp_write = n;
+        cp_acked = List.length !expect;
+        cp_replayed_txns = rv.F.Journal.rv_replayed_txns;
+        cp_replayed_blocks = rv.F.Journal.rv_replayed_blocks;
+        cp_discarded = rv.F.Journal.rv_discarded;
+        cp_fsck_findings = !fsck_count;
+        cp_lost = !lost;
+        cp_torn = !torn;
+        cp_recovery_cycles = max 0 cycles;
+      } )
 
 (* --- journal overhead and recovery latency -------------------------------- *)
 
@@ -291,18 +280,18 @@ let run_crash_point ~seed ~ops ~n =
    write-ahead logging costs in cycles and disk traffic. *)
 let run_overhead_point ~ops =
   let timed fmt =
-    let m, k, disk, cache, pfs = boot_fs fmt in
+    with_fs fmt @@ fun e disk cache pfs ->
     let w0 = Machine.Disk.writes_applied disk in
-    let expect = ref [] in
-    let t0 = ref 0 in
-    let t1 = ref 0 in
-    spawn_main k (fun () ->
-        t0 := Machine.now m;
-        run_script pfs disk (script ops) expect;
+    let cycles = ref 0 in
+    ( (fun () ->
+        let t0 = Machine.now e.m in
+        run_script pfs disk (script ops) (ref []);
         pfs.F.Fs_types.pfs_sync ();
-        t1 := Machine.now m);
-    let cycles = float_of_int (max 0 (!t1 - !t0)) /. float_of_int (max 1 ops) in
-    (cycles, Machine.Disk.writes_applied disk - w0, F.Extfs.journal_writes cache)
+        cycles := Machine.now e.m - t0),
+      fun () ->
+        ( float_of_int (max 0 !cycles) /. float_of_int (max 1 ops),
+          Machine.Disk.writes_applied disk - w0,
+          F.Extfs.journal_writes cache ) )
   in
   let plain_cycles, plain_writes, _ = timed Plain in
   let jfs_cycles, jfs_writes, records = timed Journalled in
@@ -318,48 +307,41 @@ let run_overhead_point ~ops =
 (* Run the workload without a sync, abandon the dirty cache (the crash),
    and time the recovery mount: replay work grows with journal fill. *)
 let run_latency_point ~ops =
-  let m, k, disk, cache, pfs = boot_fs Journalled in
-  let expect = ref [] in
-  let rv = ref F.Journal.clean_scan in
-  let t0 = ref 0 in
-  let t1 = ref 0 in
-  spawn_main k (fun () ->
-      run_script pfs disk (script ops) expect;
-      let cache2 = F.Block_cache.create k disk () in
-      t0 := Machine.now m;
-      (match F.Jfs.mount cache2 () with
-      | Ok _ -> (
-          match F.Jfs.last_recovery cache2 with
-          | Some r -> rv := r
-          | None -> ())
-      | Error e -> Fault_sweep.fail_fs e);
-      t1 := Machine.now m);
-  {
-    lt_ops = ops;
-    lt_journal_records = F.Extfs.journal_writes cache;
-    lt_replayed_txns = !rv.F.Journal.rv_replayed_txns;
-    lt_replayed_blocks = !rv.F.Journal.rv_replayed_blocks;
-    lt_recovery_cycles = max 0 (!t1 - !t0);
-  }
+  with_fs Journalled @@ fun e disk cache pfs ->
+  let outcome = ref (F.Journal.clean_scan, 0) in
+  ( (fun () ->
+      run_script pfs disk (script ops) (ref []);
+      match recover e disk ignore with
+      | Ok (_, rv, ()), cycles -> outcome := (rv, cycles)
+      | Error err, _ -> Scenario.fail_fs err),
+    fun () ->
+      let rv, cycles = !outcome in
+      {
+        lt_ops = ops;
+        lt_journal_records = F.Extfs.journal_writes cache;
+        lt_replayed_txns = rv.F.Journal.rv_replayed_txns;
+        lt_replayed_blocks = rv.F.Journal.rv_replayed_blocks;
+        lt_recovery_cycles = max 0 cycles;
+      } )
 
 (* --- the sweep ------------------------------------------------------------ *)
 
 let default_series = [ 4; 8; 16 ]
 
 let run ?(seed = 42) ?(ops = 12) ?(max_points = 64) ?(series = default_series)
-    ?(checks = false) () =
+    () =
   if ops <= 0 then invalid_arg "Recovery_sweep.run: ops must be positive";
   if max_points <= 0 then
     invalid_arg "Recovery_sweep.run: max_points must be positive";
-  Check.with_checker checks @@ fun chk ->
   let total = count_writes ~ops in
   let indices =
     if total <= max_points then List.init total (fun i -> i + 1)
+    else if max_points = 1 then [ total ]
     else
       (* even stride across [1 .. total], endpoints included *)
       List.init max_points (fun i ->
           1 + (i * (total - 1) / (max_points - 1)))
-      |> List.sort_uniq compare
+      |> List.sort_uniq Int.compare
   in
   let points = List.map (fun n -> run_crash_point ~seed ~ops ~n) indices in
   let overhead = List.map (fun ops -> run_overhead_point ~ops) series in
@@ -375,7 +357,6 @@ let run ?(seed = 42) ?(ops = 12) ?(max_points = 64) ?(series = default_series)
     r_points = points;
     r_overhead = overhead;
     r_latency = latency;
-    r_check = Option.map Check.report chk;
   }
 
 let overhead_pct p =

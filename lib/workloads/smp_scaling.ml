@@ -23,7 +23,7 @@
    scheduler. *)
 
 open Mach.Ktypes
-module F = Fileserver
+module C = Fileserver.File_server.Client
 
 type placement = Colocated | Crossed | Unbalanced
 
@@ -58,11 +58,7 @@ type result = {
   r_points : point list;
   r_state : Machine.Footprint.machine_state list;
       (* per-CPU machine-state bytes at each CPU count (density) *)
-  r_check : Check.report option;  (* Machcheck findings, when enabled *)
 }
-
-let config ~ncpus =
-  Machine.Config.with_ncpus Machine.Config.pentium_133 ~n:ncpus
 
 (* Sum an SMP counter over every CPU of the machine. *)
 let sum_cpus m f =
@@ -72,20 +68,19 @@ let sum_cpus m f =
   done;
   !acc
 
-let finish ~workload ~placement ~ncpus ~ops m sys =
-  let wall = Machine.global_now m in
+let finish ~workload ~placement ~ops (e : Scenario.env) () =
+  let m = e.m and wall = Machine.global_now e.m in
   {
     sp_workload = workload;
     sp_placement = placement;
-    sp_ncpus = ncpus;
+    sp_ncpus = Machine.ncpus m;
     sp_ops = ops;
     sp_wall_cycles = wall;
-    sp_throughput =
-      (if wall = 0 then 0.0 else float_of_int ops /. float_of_int wall *. 1e6);
+    sp_throughput = Scenario.per_mcycle ops wall;
     sp_speedup = 0.0;  (* filled in once the 1-CPU anchor is known *)
     sp_ipis = sum_cpus m Machine.Perf.ipis_sent;
-    sp_xmsgs = Mach.Sched.total_xmsgs sys;
-    sp_steals = Mach.Sched.total_steals sys;
+    sp_xmsgs = Mach.Sched.total_xmsgs e.sys;
+    sp_steals = Mach.Sched.total_steals e.sys;
     sp_coherence_misses = sum_cpus m Machine.Perf.coherence_misses;
     sp_bus_stall_cycles = sum_cpus m Machine.Perf.bus_stall_cycles;
     sp_bus_transactions = Machine.Bus.transactions m.Machine.bus;
@@ -94,15 +89,15 @@ let finish ~workload ~placement ~ncpus ~ops m sys =
 (* --- workload 1: RPC round-trip pairs ---------------------------------- *)
 
 let measure_ipc ~ncpus ~placement ~pairs ~iters ~bytes =
-  let m = Machine.create (config ~ncpus) in
-  let k = Mach.Kernel.boot m in
-  let sys = k.Mach.Kernel.sys in
+  Scenario.run { Scenario.base with ncpus } @@ fun e ->
+  let k = e.k and sys = e.sys in
   for w = 0 to pairs - 1 do
-    let client_cpu, server_cpu, bound =
+    (* (client, server) CPUs; unbalanced pairs start unbound on CPU 0 *)
+    let cpus =
       match placement with
-      | Colocated -> (w mod ncpus, w mod ncpus, true)
-      | Crossed -> (w mod ncpus, (w + 1) mod ncpus, true)
-      | Unbalanced -> (0, 0, false)
+      | Colocated -> Some (w mod ncpus, w mod ncpus)
+      | Crossed -> Some (w mod ncpus, (w + 1) mod ncpus)
+      | Unbalanced -> None
     in
     let client =
       Mach.Kernel.task_create k ~name:(Printf.sprintf "client%d" w) ()
@@ -111,113 +106,67 @@ let measure_ipc ~ncpus ~placement ~pairs ~iters ~bytes =
       Mach.Kernel.task_create k ~name:(Printf.sprintf "server%d" w) ()
     in
     let port = Mach.Port.allocate sys ~receiver:server ~name:"svc" in
-    ignore
-      (Mach.Kernel.thread_spawn k server ~name:"srv" ~affinity:server_cpu
-         ~bound
-         (fun () -> Mach.Rpc.serve sys port (fun _msg -> simple_message ()))
-        : thread);
-    ignore
-      (Mach.Kernel.thread_spawn k client ~name:"cl" ~affinity:client_cpu
-         ~bound
-         (fun () ->
-           for _ = 1 to iters do
-             ignore
-               (Mach.Rpc.call sys port
-                  (simple_message ~inline_bytes:bytes ()))
-           done;
-           Mach.Port.destroy sys port)
-        : thread)
+    Scenario.spawn e server ?cpu:(Option.map snd cpus) "srv" (fun () ->
+        Mach.Rpc.serve sys port (fun _msg -> simple_message ()));
+    Scenario.spawn e client ?cpu:(Option.map fst cpus) "cl" (fun () ->
+        for _ = 1 to iters do
+          ignore (Mach.Rpc.call sys port (simple_message ~inline_bytes:bytes ()))
+        done;
+        Mach.Port.destroy sys port)
   done;
-  Mach.Kernel.run k;
-  finish ~workload:"ipc" ~placement:(placement_name placement) ~ncpus
-    ~ops:(pairs * iters) m sys
+  finish ~workload:"ipc" ~placement:(placement_name placement)
+    ~ops:(pairs * iters) e
 
 (* --- workload 2: file-server edit sessions ------------------------------ *)
 
-let fail_fs e = failwith (F.Fs_types.fs_error_to_string e)
-
 let measure_fileserver ~ncpus ~clients ~sessions =
-  let m = Machine.create (config ~ncpus) in
-  let boot = Mk_services.Bootstrap.boot m in
-  let k = boot.Mk_services.Bootstrap.kernel in
-  let sys = k.Mach.Kernel.sys in
-  let runtime = boot.Mk_services.Bootstrap.runtime in
-  let disk = m.Machine.disk in
-  F.Hpfs.mkfs disk ();
-  let vfs = F.Vfs.create () in
-  let cache = F.Block_cache.create k disk () in
-  (match F.Hpfs.mount cache () with
-  | Ok pfs -> (
-      match F.Vfs.mount vfs ~at:"/os2" pfs with
-      | Ok () -> ()
-      | Error e -> failwith e)
-  | Error e -> fail_fs e);
+  Scenario.run
+    { Scenario.base with ncpus; boot = Services Full_naming; fs = Some 1 }
+  @@ fun e ->
   (* server and boot services stay on CPU 0 (spawned there); clients
      spread round-robin over the remaining CPUs *)
-  let fs = F.File_server.start k runtime vfs () in
-  let sem = F.Vfs.os2_semantics in
+  let fs = Option.get e.server in
   let completed = ref 0 in
   for c = 0 to clients - 1 do
-    let cpu = c mod ncpus in
     let client =
-      Mach.Kernel.task_create k ~name:(Printf.sprintf "editor%d" c) ()
+      Mach.Kernel.task_create e.k ~name:(Printf.sprintf "editor%d" c) ()
     in
-    ignore
-      (Mach.Kernel.thread_spawn k client ~name:"edit" ~affinity:cpu ~bound:true
-         (fun () ->
-           let ( let* ) r f = match r with Ok x -> f x | Error e -> Error e in
-           for s = 1 to sessions do
-             let path = Printf.sprintf "/os2/c%d_s%d.dat" c s in
-             let outcome =
-               let* h =
-                 F.File_server.Client.open_ fs sem ~path ~create:true ()
-               in
-               let* _n = F.File_server.Client.write fs h (Bytes.make 256 'e') in
-               F.File_server.Client.seek fs h ~pos:0;
-               let* _data = F.File_server.Client.read fs h ~bytes:64 in
-               F.File_server.Client.close fs h;
-               F.File_server.Client.sync fs;
-               Ok ()
-             in
-             match outcome with Ok () -> incr completed | Error _ -> ()
-           done)
-        : thread)
+    Scenario.spawn e client ~cpu:(c mod ncpus) "edit" (fun () ->
+        let ( let* ) = Result.bind in
+        for s = 1 to sessions do
+          let path = Printf.sprintf "/os2/c%d_s%d.dat" c s in
+          let outcome =
+            let* h =
+              C.open_ fs Fileserver.Vfs.os2_semantics ~path ~create:true ()
+            in
+            let* _n = C.write fs h (Bytes.make 256 'e') in
+            C.seek fs h ~pos:0;
+            let* _data = C.read fs h ~bytes:64 in
+            C.close fs h;
+            C.sync fs;
+            Ok ()
+          in
+          if Result.is_ok outcome then incr completed
+        done)
   done;
-  Mach.Kernel.run k;
-  if !completed <> clients * sessions then
-    failwith
-      (Printf.sprintf "Smp_scaling: fileserver completed %d/%d sessions"
-         !completed (clients * sessions));
-  finish ~workload:"fileserver" ~placement:"spread" ~ncpus
-    ~ops:(clients * sessions) m sys
+  fun () ->
+    if !completed <> clients * sessions then
+      failwith
+        (Printf.sprintf "Smp_scaling: fileserver completed %d/%d sessions"
+           !completed (clients * sessions));
+    finish ~workload:"fileserver" ~placement:"spread"
+      ~ops:(clients * sessions) e ()
 
 (* --- sweep --------------------------------------------------------------- *)
 
 let default_cpus = [ 1; 2; 4; 8 ]
 
-(* Stamp speedups into a series sharing one (workload, placement) key:
-   each point relative to the 1-CPU point of its own series. *)
-let with_speedups points =
-  let anchor w p =
-    List.find_opt
-      (fun pt -> pt.sp_workload = w && pt.sp_placement = p && pt.sp_ncpus = 1)
-      points
-  in
-  List.map
-    (fun pt ->
-      match anchor pt.sp_workload pt.sp_placement with
-      | Some a when a.sp_throughput > 0.0 ->
-          { pt with sp_speedup = pt.sp_throughput /. a.sp_throughput }
-      | _ -> { pt with sp_speedup = 1.0 })
-    points
-
 let run ?(cpus = default_cpus) ?(pairs = 8) ?(iters = 150) ?(bytes = 512)
-    ?(clients = 6) ?(sessions = 4) ?(checks = false) () =
+    ?(clients = 6) ?(sessions = 4) () =
   if cpus = [] then invalid_arg "Smp_scaling.run: empty CPU list";
   List.iter
     (fun n -> if n < 1 then invalid_arg "Smp_scaling.run: ncpus must be >= 1")
     cpus;
-  Check.with_checker checks @@ fun chk ->
   let points =
     List.concat_map
       (fun ncpus ->
@@ -236,12 +185,14 @@ let run ?(cpus = default_cpus) ?(pairs = 8) ?(iters = 150) ?(bytes = 512)
     r_bytes = bytes;
     r_clients = clients;
     r_sessions = sessions;
-    r_points = with_speedups points;
+    (* each series against its own 1-CPU point *)
+    r_points =
+      Scenario.speedups
+        (fun p -> (p.sp_workload ^ p.sp_placement, p.sp_ncpus, p.sp_throughput))
+        (fun p sp_speedup -> { p with sp_speedup })
+        points;
     r_state =
-      List.map
-        (fun n -> Machine.Footprint.machine_state (config ~ncpus:n))
-        cpus;
-    r_check = Option.map Check.report chk;
+      List.map (fun n -> Machine.Footprint.machine_state (Scenario.config n)) cpus;
   }
 
 (* The headline acceptance number: colocated ipc speedup at 4 CPUs, when

@@ -35,15 +35,13 @@ type result = {
   r_points : point list;
   r_state : Machine.Footprint.machine_state list;
       (** per-CPU machine-state bytes at each CPU count (density) *)
-  r_check : Check.report option;
 }
 
 val run :
   ?cpus:int list -> ?pairs:int -> ?iters:int -> ?bytes:int -> ?clients:int ->
-  ?sessions:int -> ?checks:bool -> unit -> result
+  ?sessions:int -> unit -> result
 (** Defaults: CPUs [1;2;4;8], 8 pairs x 150 round trips of 512 bytes,
-    6 clients x 4 edit sessions.  [~checks:true] runs the whole sweep
-    under Machcheck (globally installed for the duration). *)
+    6 clients x 4 edit sessions. *)
 
 val gates : result -> Experiment.gate list
 (** Colocated-ipc throughput at 4 CPUs is at least 1.5x of 1 CPU — the

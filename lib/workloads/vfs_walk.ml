@@ -16,8 +16,8 @@
                    wide set, lookups racing across CPUs.
 
    deep_speedup = deep-raw cycles/op over deep-cached cycles/op.  The
-   whole run can execute under Machcheck's vnode checker ([~checks]);
-   a finding means the walk used a reclaimed vnode or a stale entry. *)
+   whole run can execute under Machcheck's vnode checker; a finding
+   means the walk used a reclaimed vnode or a stale entry. *)
 
 module F = Fileserver
 
@@ -45,12 +45,9 @@ type result = {
   r_concurrent_expected : int;
   r_compromises : int;
   r_cache : F.Namecache.stats;  (* final cache counters *)
-  r_check : Check.report option;
 }
 
-let fail_fs e = failwith (F.Fs_types.fs_error_to_string e)
-
-let ok_exn = function Ok v -> v | Error e -> fail_fs e
+let ok_exn = function Ok v -> v | Error e -> Scenario.fail_fs e
 
 let deep_path depth =
   "/os2/"
@@ -59,24 +56,12 @@ let deep_path depth =
 
 let wide_path i = Printf.sprintf "/os2/wide/f%03d.dat" i
 
-let run ?(depth = 12) ?(files = 48) ?(repeats = 6) ?(cpus = 4)
-    ?(checks = false) () =
+let run ?(depth = 12) ?(files = 48) ?(repeats = 6) ?(cpus = 4) () =
   if depth < 1 then invalid_arg "Vfs_walk.run: depth must be >= 1";
-  Check.with_checker checks @@ fun chk ->
-  let m =
-    Machine.create (Machine.Config.with_ncpus Machine.Config.pentium_133 ~n:cpus)
-  in
-  let k = Mach.Kernel.boot m in
-  let disk = m.Machine.disk in
-  F.Hpfs.mkfs disk ();
+  Scenario.run { Scenario.base with ncpus = cpus } @@ fun e ->
+  let m = e.m and k = e.k in
   let vfs = F.Vfs.create ~kernel:k () in
-  let cache = F.Block_cache.create k disk () in
-  (match F.Hpfs.mount cache () with
-  | Ok pfs -> (
-      match F.Vfs.mount vfs ~at:"/os2" pfs with
-      | Ok () -> ()
-      | Error e -> failwith e)
-  | Error e -> fail_fs e);
+  ignore (Scenario.hpfs k vfs : F.Block_cache.t);
   let sem = F.Vfs.os2_semantics in
   let phases = ref [] in
   let measure name ops f =
@@ -106,8 +91,7 @@ let run ?(depth = 12) ?(files = 48) ?(repeats = 6) ?(cpus = 4)
            else float_of_int hits /. float_of_int probes);
       }
     in
-    phases := ph :: !phases;
-    ph
+    phases := ph :: !phases
   in
   let stat_all () =
     ignore (ok_exn (F.Vfs.stat vfs sem ~path:(deep_path depth)));
@@ -118,86 +102,68 @@ let run ?(depth = 12) ?(files = 48) ?(repeats = 6) ?(cpus = 4)
   let deep_walks = 32 in
   let concurrent_ok = ref 0 in
   let driver = Mach.Kernel.task_create k ~name:"walker" () in
-  ignore
-    (Mach.Kernel.thread_spawn k driver ~name:"drive" (fun () ->
-         ignore
-           (measure "build" (depth + 1 + files) (fun () ->
-                let dir = ref "/os2" in
-                for d = 0 to depth - 1 do
-                  dir := Printf.sprintf "%s/d%02d" !dir d;
-                  ignore (ok_exn (F.Vfs.mkdir vfs sem ~path:!dir))
-                done;
-                ignore
-                  (ok_exn
-                     (F.Vfs.create_file vfs sem ~path:(!dir ^ "/leaf.dat")));
-                ignore (ok_exn (F.Vfs.mkdir vfs sem ~path:"/os2/wide"));
-                for i = 0 to files - 1 do
-                  ignore (ok_exn (F.Vfs.create_file vfs sem ~path:(wide_path i)))
-                done));
-         (* drop the entries the creates primed, so "cold" is cold *)
-         F.Vfs.set_namecache vfs false;
-         F.Vfs.set_namecache vfs true;
-         ignore (measure "cold" (1 + files) stat_all);
-         ignore
-           (measure "hot"
-              (repeats * (1 + files))
-              (fun () ->
-                for _ = 1 to repeats do
-                  stat_all ()
-                done));
-         ignore
-           (measure "deep-cached" deep_walks (fun () ->
-                for _ = 1 to deep_walks do
-                  ignore (ok_exn (F.Vfs.stat vfs sem ~path:(deep_path depth)))
-                done));
-         F.Vfs.set_namecache vfs false;
-         ignore
-           (measure "deep-raw" deep_walks (fun () ->
-                for _ = 1 to deep_walks do
-                  ignore (ok_exn (F.Vfs.stat vfs sem ~path:(deep_path depth)))
-                done));
-         F.Vfs.set_namecache vfs true;
-         (* racing walkers, one bound per CPU; the driver exits and the
-            kernel runs until they drain *)
-         for c = 0 to cpus - 1 do
-           let task =
-             Mach.Kernel.task_create k ~name:(Printf.sprintf "walk%d" c) ()
-           in
-           ignore
-             (Mach.Kernel.thread_spawn k task ~name:"walk" ~affinity:c
-                ~bound:true (fun () ->
-                  for i = 0 to files - 1 do
-                    match F.Vfs.stat vfs sem ~path:(wide_path i) with
-                    | Ok _ -> incr concurrent_ok
-                    | Error _ -> ()
-                  done)
-               : Mach.Ktypes.thread)
-         done)
-      : Mach.Ktypes.thread);
-  Mach.Kernel.run k;
-  let phase name = List.find (fun p -> p.ph_name = name) !phases in
-  let hot = phase "hot" in
-  let cached = phase "deep-cached" in
-  let raw = phase "deep-raw" in
-  {
-    r_depth = depth;
-    r_files = files;
-    r_repeats = repeats;
-    r_cpus = cpus;
-    r_phases = List.rev !phases;
-    r_hot_hit_rate = hot.ph_hit_rate;
-    r_deep_cached_cycles_per_op = cached.ph_cycles_per_op;
-    r_deep_raw_cycles_per_op = raw.ph_cycles_per_op;
-    r_deep_speedup =
-      (if cached.ph_cycles_per_op > 0.0 then
-         raw.ph_cycles_per_op /. cached.ph_cycles_per_op
-       else 0.0);
-    r_concurrent_ok = !concurrent_ok;
-    r_concurrent_expected = cpus * files;
-    r_compromises = F.Vfs.compromises vfs;
-    r_cache = F.Vfs.cache_stats vfs;
-    r_check = Option.map Check.report chk;
-  }
+  let deep () =
+    for _ = 1 to deep_walks do
+      ignore (ok_exn (F.Vfs.stat vfs sem ~path:(deep_path depth)))
+    done
+  in
+  Scenario.spawn e driver "drive" (fun () ->
+      measure "build" (depth + 1 + files) (fun () ->
+          let dir = ref "/os2" in
+          for d = 0 to depth - 1 do
+            dir := Printf.sprintf "%s/d%02d" !dir d;
+            ignore (ok_exn (F.Vfs.mkdir vfs sem ~path:!dir))
+          done;
+          ignore (ok_exn (F.Vfs.create_file vfs sem ~path:(!dir ^ "/leaf.dat")));
+          ignore (ok_exn (F.Vfs.mkdir vfs sem ~path:"/os2/wide"));
+          for i = 0 to files - 1 do
+            ignore (ok_exn (F.Vfs.create_file vfs sem ~path:(wide_path i)))
+          done);
+      (* drop the entries the creates primed, so "cold" is cold *)
+      F.Vfs.set_namecache vfs false;
+      F.Vfs.set_namecache vfs true;
+      measure "cold" (1 + files) stat_all;
+      measure "hot" (repeats * (1 + files)) (fun () ->
+          for _ = 1 to repeats do
+            stat_all ()
+          done);
+      measure "deep-cached" deep_walks deep;
+      F.Vfs.set_namecache vfs false;
+      measure "deep-raw" deep_walks deep;
+      F.Vfs.set_namecache vfs true;
+      (* racing walkers, one bound per CPU; the driver exits and the
+         kernel runs until they drain *)
+      for c = 0 to cpus - 1 do
+        let task = Mach.Kernel.task_create k ~name:(Printf.sprintf "walk%d" c) () in
+        Scenario.spawn e task ~cpu:c "walk" (fun () ->
+            for i = 0 to files - 1 do
+              if Result.is_ok (F.Vfs.stat vfs sem ~path:(wide_path i)) then
+                incr concurrent_ok
+            done)
+      done);
+  fun () ->
+    let phase name = List.find (fun p -> p.ph_name = name) !phases in
+    let hot = phase "hot" in
+    let cached = phase "deep-cached" in
+    let raw = phase "deep-raw" in
+    {
+      r_depth = depth;
+      r_files = files;
+      r_repeats = repeats;
+      r_cpus = cpus;
+      r_phases = List.rev !phases;
+      r_hot_hit_rate = hot.ph_hit_rate;
+      r_deep_cached_cycles_per_op = cached.ph_cycles_per_op;
+      r_deep_raw_cycles_per_op = raw.ph_cycles_per_op;
+      r_deep_speedup =
+        (if cached.ph_cycles_per_op > 0.0 then
+           raw.ph_cycles_per_op /. cached.ph_cycles_per_op
+         else 0.0);
+      r_concurrent_ok = !concurrent_ok;
+      r_concurrent_expected = cpus * files;
+      r_compromises = F.Vfs.compromises vfs;
+      r_cache = F.Vfs.cache_stats vfs;
+    }
 
 let to_json r =
   let c = r.r_cache in

@@ -1,7 +1,8 @@
 (** Workload generators for every experiment: the Table 1 application
-    benchmarks, the Table 2 counter probe, the message-size sweep and the
-    file-server factor microbenchmarks, all written against the
-    system-neutral {!Api}. *)
+    benchmarks (written against the system-neutral {!Api}), the
+    microbenchmarks, and the storms and sweeps that {!Scenario} boots,
+    faults and drives; {!Experiment} is the registry that sizes, checks
+    and reports them. *)
 
 module Api = Api
 module Table1 = Table1
@@ -14,4 +15,5 @@ module Vfs_walk = Vfs_walk
 module Net_storm = Net_storm
 module Fault_storm = Fault_storm
 module Experiment = Experiment
+module Scenario = Scenario
 module Bench_ab = Bench_ab

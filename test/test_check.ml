@@ -402,16 +402,8 @@ let test_remap_zero_copy_clean () =
      the checker: donations recorded, nothing flagged *)
   let k, sys, chk = checked_kernel () in
   let runtime = Mk_services.Runtime.install k in
-  let disk = k.Mach.Kernel.machine.Machine.disk in
-  F.Hpfs.mkfs disk ();
   let vfs = F.Vfs.create () in
-  let cache = F.Block_cache.create k disk () in
-  (match F.Hpfs.mount cache () with
-  | Ok pfs -> (
-      match F.Vfs.mount vfs ~at:"/os2" pfs with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e)
-  | Error e -> Alcotest.fail (F.Fs_types.fs_error_to_string e));
+  ignore (Workloads.Scenario.hpfs k vfs : F.Block_cache.t);
   let fs = F.File_server.start k runtime vfs () in
   let sem = F.Vfs.os2_semantics in
   let ok label = function
@@ -446,16 +438,8 @@ let test_restart_zero_residual_rights () =
   let sys = k.Mach.Kernel.sys in
   let runtime = boot.Mk_services.Bootstrap.runtime in
   let ns = Mk_services.Bootstrap.name_service_exn boot in
-  let disk = m.Machine.disk in
-  F.Hpfs.mkfs disk ();
   let vfs = F.Vfs.create () in
-  let cache = F.Block_cache.create k disk () in
-  (match F.Hpfs.mount cache () with
-  | Ok pfs -> (
-      match F.Vfs.mount vfs ~at:"/os2" pfs with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e)
-  | Error e -> Alcotest.fail (F.Fs_types.fs_error_to_string e));
+  ignore (Workloads.Scenario.hpfs k vfs : F.Block_cache.t);
   let fs = F.File_server.start k runtime vfs () in
   let sup = Mk_services.Supervisor.create k runtime ns in
   let plan = Mach.Fault.create ~seed:5 () in
@@ -537,23 +521,14 @@ let test_table1_micro_clean () =
 let test_stress_workloads_clean_and_json () =
   (* the CI smoke: ipc-stress and fault-sweep under Machcheck, failing
      on any finding, with the machine-readable BENCH_check.json shape *)
-  let ipc =
-    Workloads.Ipc_stress.run ~workers:2 ~iters:40 ~sizes:[ 0; 512 ]
-      ~checks:true ()
+  let ipc, rep_ipc =
+    Test_util.checked
+      (Workloads.Ipc_stress.run ~workers:2 ~iters:40 ~sizes:[ 0; 512 ])
   in
-  let flt =
-    Workloads.Fault_sweep.run ~seed:7 ~clients:2 ~sessions:2
-      ~rates:[ 20_000 ] ~checks:true ()
-  in
-  let rep_ipc =
-    match ipc.Workloads.Ipc_stress.r_check with
-    | Some r -> r
-    | None -> Alcotest.fail "ipc-stress ran without a checker"
-  in
-  let rep_flt =
-    match flt.Workloads.Fault_sweep.r_check with
-    | Some r -> r
-    | None -> Alcotest.fail "fault-sweep ran without a checker"
+  let _, rep_flt =
+    Test_util.checked
+      (Workloads.Fault_sweep.run ~seed:7 ~clients:2 ~sessions:2
+         ~rates:[ 20_000 ])
   in
   let rep_ipc = cross_checked rep_ipc and rep_flt = cross_checked rep_flt in
   Alcotest.(check int) "ipc-stress: zero findings" 0
@@ -587,8 +562,8 @@ let test_stress_workloads_clean_and_json () =
   let doc =
     Workloads.Experiment.(
       document "ipc-stress"
-        (result ?check:ipc.Workloads.Ipc_stress.r_check
-           (Workloads.Ipc_stress.to_json ipc)))
+        { (result (Workloads.Ipc_stress.to_json ipc)) with
+          check = Some rep_ipc })
   in
   match J.parse doc with
   | Error e -> Alcotest.failf "ipc-stress json does not parse: %s" e

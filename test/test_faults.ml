@@ -200,16 +200,8 @@ let test_supervisor_restarts_file_server () =
   let sys = k.Mach.Kernel.sys in
   let runtime = boot.Mk_services.Bootstrap.runtime in
   let ns = Mk_services.Bootstrap.name_service_exn boot in
-  let disk = m.Machine.disk in
-  F.Hpfs.mkfs disk ();
   let vfs = F.Vfs.create () in
-  let cache = F.Block_cache.create k disk () in
-  (match F.Hpfs.mount cache () with
-  | Ok pfs -> (
-      match F.Vfs.mount vfs ~at:"/os2" pfs with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e)
-  | Error e -> Alcotest.fail (F.Fs_types.fs_error_to_string e));
+  ignore (Workloads.Scenario.hpfs k vfs : F.Block_cache.t);
   let fs = F.File_server.start k runtime vfs () in
   let sup = Mk_services.Supervisor.create k runtime ns in
   (* scripted crash on the 4th file-service request *)
@@ -336,6 +328,37 @@ let test_fault_sweep_smoke () =
           | _ -> Alcotest.fail "missing disk_faults")
       | _ -> Alcotest.fail "expected exactly one result point")
 
+(* --- the scenario runner removes what it installed --------------------------- *)
+
+let test_scenario_removes_faults () =
+  let module S = Workloads.Scenario in
+  let cut = ref None in
+  let faults ~disk =
+    let plan = Mach.Fault.create ~seed:3 () in
+    Mach.Fault.at_disk_write plan ~disk ~n:1 Mach.Fault.Power_cut;
+    cut := Some plan;
+    plan
+  in
+  let e =
+    S.run { S.base with faults = Some faults } (fun e ->
+        Alcotest.(check bool) "plan installed for the run" true
+          (Option.equal ( == ) e.S.sys.Mach.Sched.faults !cut);
+        fun () -> e)
+  in
+  Alcotest.(check bool) "plan removed" true
+    (Option.is_none e.S.sys.Mach.Sched.faults);
+  (* disarmed: with the power-cut plan back in place, a write still lands *)
+  let disk = e.S.m.Machine.disk in
+  e.S.sys.Mach.Sched.faults <- !cut;
+  Machine.Disk.write disk ~block:0
+    (Bytes.make (Machine.Disk.geometry disk).Machine.Disk.block_size 'x')
+    ignore;
+  Mach.Kernel.run e.S.k;
+  Alcotest.(check int) "the write was applied" 1
+    (Machine.Disk.writes_applied disk);
+  Alcotest.(check bool) "disk faults disarmed" true
+    (Machine.Disk.powered_on disk)
+
 let suite =
   [
     Alcotest.test_case "ipc serve survives dead reply port" `Quick
@@ -356,4 +379,6 @@ let suite =
       test_fault_replay_deterministic;
     Alcotest.test_case "fault-sweep smoke + json" `Quick
       test_fault_sweep_smoke;
+    Alcotest.test_case "scenario run removes its faults" `Quick
+      test_scenario_removes_faults;
   ]

@@ -523,16 +523,8 @@ let test_vfs_paths () =
 let with_file_server f =
   let k = Test_util.kernel_on () in
   let runtime = Mk_services.Runtime.install k in
-  let disk = k.Mach.Kernel.machine.Machine.disk in
-  F.Hpfs.mkfs disk ();
   let vfs = F.Vfs.create () in
-  let cache = F.Block_cache.create k disk () in
-  (match F.Hpfs.mount cache () with
-  | Ok pfs -> (
-      match F.Vfs.mount vfs ~at:"/os2" pfs with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e)
-  | Error e -> Alcotest.fail (fs_error_to_string e));
+  ignore (Workloads.Scenario.hpfs k vfs : F.Block_cache.t);
   let fs = F.File_server.start k runtime vfs () in
   let result = Test_util.run_in_thread k (fun () -> f k fs) in
   result

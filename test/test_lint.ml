@@ -152,6 +152,16 @@ let test_syntax_error_is_finding () =
         f.Lint.Report.f_rule
   | fs -> Alcotest.failf "expected one syntax finding, got %d" (List.length fs)
 
+(* BENCH_lint.json's per-directory AST sizes partition the total. *)
+let test_nodes_by_dir () =
+  let here = Filename.concat (Filename.dirname fixture_dir) "test_lint.ml" in
+  let r = Lint.run ~roots:[ fixture "clean_provenance.ml"; here ] () in
+  Alcotest.(check (list string)) "one entry per directory"
+    (List.sort compare [ fixture_dir; Filename.dirname here ])
+    (List.map fst r.Lint.r_dir_nodes);
+  Alcotest.(check int) "directories sum to the total" r.Lint.r_nodes
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 r.Lint.r_dir_nodes)
+
 let suite =
   List.concat_map
     (fun (bad, clean, rule) ->
@@ -170,6 +180,7 @@ let suite =
         test_syntax_error_is_finding;
       Alcotest.test_case "hot-path covers the machine model" `Quick
         test_machine_model_is_hot;
+      Alcotest.test_case "ast nodes split by directory" `Quick test_nodes_by_dir;
     ]
 
 let () = Alcotest.run "machlint" [ ("machlint", suite) ]

@@ -289,16 +289,8 @@ let test_jfs_rollback_on_no_space () =
 let test_restart_reclaims_pins () =
   let k = Test_util.kernel_on () in
   let runtime = Mk_services.Runtime.install k in
-  let disk = k.Mach.Kernel.machine.Machine.disk in
-  F.Hpfs.mkfs disk ();
   let vfs = F.Vfs.create () in
-  let cache = F.Block_cache.create k disk () in
-  (match F.Hpfs.mount cache () with
-  | Ok pfs -> (
-      match F.Vfs.mount vfs ~at:"/os2" pfs with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e)
-  | Error e -> Alcotest.fail (fs_error_to_string e));
+  let cache = Workloads.Scenario.hpfs k vfs in
   let fs = F.File_server.start k runtime vfs () in
   Test_util.run_in_thread k (fun () ->
       let sem = F.Vfs.os2_semantics in
@@ -326,7 +318,7 @@ let test_restart_reclaims_pins () =
 
 let test_crash_enumeration_small_bound () =
   let open Workloads.Recovery_sweep in
-  let r = run ~ops:2 ~max_points:32 ~series:[ 4 ] ~checks:true () in
+  let r, rep = Test_util.checked (run ~ops:2 ~max_points:32 ~series:[ 4 ]) in
   Alcotest.(check bool) "every point enumerated" true r.r_exhaustive;
   Alcotest.(check bool) "points were checked" true (r.r_points_checked > 0);
   Alcotest.(check int) "no acknowledged write lost" 0 r.r_lost_writes;
@@ -345,12 +337,9 @@ let test_crash_enumeration_small_bound () =
     | _ -> ()
   in
   monotone r.r_points;
-  match r.r_check with
-  | Some rep ->
-      Alcotest.(check int) "checker saw every point" r.r_points_checked
-        (Check.count rep "crash_points");
-      Alcotest.(check int) "no machcheck findings" 0 (Check.total_findings rep)
-  | None -> Alcotest.fail "expected a machcheck report"
+  Alcotest.(check int) "checker saw every point" r.r_points_checked
+    (Check.count rep "crash_points");
+  Alcotest.(check int) "no machcheck findings" 0 (Check.total_findings rep)
 
 (* Merged disk transfers still apply every write on its own, so the
    crash-point index space is the one each write had when it was served
@@ -358,10 +347,21 @@ let test_crash_enumeration_small_bound () =
    them recovers with nothing lost and nothing torn. *)
 let test_crash_points_pinned () =
   let open Workloads.Recovery_sweep in
-  let r = run ~ops:4 ~max_points:1024 ~series:[ 4 ] ~checks:false () in
+  let r = run ~ops:4 ~max_points:1024 ~series:[ 4 ] () in
   Alcotest.(check int) "crash points" 58 r.r_total_writes;
   Alcotest.(check int) "every point checked" 58 r.r_points_checked;
   Alcotest.(check bool) "exhaustive" true r.r_exhaustive;
+  Alcotest.(check int) "lost" 0 r.r_lost_writes;
+  Alcotest.(check int) "torn" 0 r.r_torn_states
+
+(* A one-point sample is the last write, not a division by zero. *)
+let test_one_point_sample () =
+  let open Workloads.Recovery_sweep in
+  let r = run ~ops:4 ~max_points:1 ~series:[] () in
+  Alcotest.(check int) "one point" 1 r.r_points_checked;
+  Alcotest.(check (list int)) "at the last write" [ r.r_total_writes ]
+    (List.map (fun p -> p.cp_write) r.r_points);
+  Alcotest.(check bool) "sampled" false r.r_exhaustive;
   Alcotest.(check int) "lost" 0 r.r_lost_writes;
   Alcotest.(check int) "torn" 0 r.r_torn_states
 
@@ -386,4 +386,6 @@ let suite =
     Alcotest.test_case "crash-point enumeration (small bound)" `Quick
       test_crash_enumeration_small_bound;
     Alcotest.test_case "crash-point count pinned" `Quick test_crash_points_pinned;
+    Alcotest.test_case "one-point sample is the last write" `Quick
+      test_one_point_sample;
   ]

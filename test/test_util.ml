@@ -22,6 +22,13 @@ let run_in_thread ?(name = "test") kernel body =
   | Some r -> r
   | None -> Alcotest.fail (name ^ ": thread body did not complete")
 
+(* Run [f] under a fresh installed Machcheck, the way the bench registry
+   runs a checked profile: its result and the checker's report. *)
+let checked f =
+  Check.with_checker true (fun chk ->
+      let r = f () in
+      (r, Check.report (Option.get chk)))
+
 (* Spawn a body in an existing task. *)
 let spawn kernel task name body =
   ignore (Mach.Kernel.thread_spawn kernel task ~name body : Mach.Ktypes.thread)

@@ -257,15 +257,8 @@ let run_script ~namecache ops =
   let k = Test_util.kernel_on () in
   let disk = k.Mach.Kernel.machine.Machine.disk in
   let vfs = Vfs.create ~kernel:k ~namecache () in
-  let cache = F.Block_cache.create k disk () in
-  F.Hpfs.mkfs disk ();
+  let cache = Workloads.Scenario.hpfs k ~at:"/a" vfs in
   F.Fat.mkfs disk ~start:4096 ();
-  (match F.Hpfs.mount cache () with
-  | Ok pfs -> (
-      match Vfs.mount vfs ~at:"/a" pfs with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e)
-  | Error e -> Alcotest.fail (fs_error_to_string e));
   let spare =
     match F.Fat.mount cache ~start:4096 () with
     | Ok pfs -> pfs
@@ -370,8 +363,9 @@ let test_checker_clean_lifecycle () =
 (* --- the vfs-walk workload under the checker -------------------------------- *)
 
 let test_vfs_walk_workload () =
-  let r =
-    Workloads.Vfs_walk.run ~depth:6 ~files:8 ~repeats:3 ~cpus:2 ~checks:true ()
+  let r, rep =
+    Test_util.checked
+      (Workloads.Vfs_walk.run ~depth:6 ~files:8 ~repeats:3 ~cpus:2)
   in
   let open Workloads.Vfs_walk in
   List.iter
@@ -380,9 +374,7 @@ let test_vfs_walk_workload () =
         (Printf.sprintf "%s = %g" g.name g.value)
         true g.pass)
     (gates r);
-  match r.r_check with
-  | Some rep -> Alcotest.(check int) "clean" 0 (Check.total_findings rep)
-  | None -> Alcotest.fail "no checker report"
+  Alcotest.(check int) "clean" 0 (Check.total_findings rep)
 
 let suite =
   [

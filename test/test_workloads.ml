@@ -144,10 +144,10 @@ let test_exact_diff_known_bad () =
    Machcheck finding. *)
 let test_failed_gate_known_bad () =
   let open Workloads.Experiment in
-  let entry ?check gates =
+  let entry ?(checked = []) ?(full = ignore) gates =
     make ~file:"BENCH_known_bad.json" "known-bad"
-      { full = ignore; smoke = None; machcheck = None }
-      (fun () -> result ?check ~gates [])
+      { full; smoke = None; machcheck = None; checked }
+      (fun () -> result ~gates [])
   in
   Alcotest.(check int) "passing gate" 0
     (run Full [ entry [ at_least "forced" 1.0 1.0 ] ]);
@@ -161,13 +161,17 @@ let test_failed_gate_known_bad () =
             (Json.member "pass" g = Some (Json.Bool false))
       | None -> Alcotest.fail "gate missing from the file")
   | Error e -> Alcotest.fail e);
-  let chk = Check.create () in
-  let space = Check.new_space chk in
-  Check.buf_allocated chk ~space ~addr:64 ~bytes:128;
-  Check.buf_released chk ~space ~addr:64;
-  Check.buf_released chk ~space ~addr:64;
+  (* a finding made under the checker the registry installs around a
+     checked profile's run *)
+  let double_release () =
+    let chk = Option.get (Check.installed ()) in
+    let space = Check.new_space chk in
+    Check.buf_allocated chk ~space ~addr:64 ~bytes:128;
+    Check.buf_released chk ~space ~addr:64;
+    Check.buf_released chk ~space ~addr:64
+  in
   Alcotest.(check int) "a finding exits 1" 1
-    (run Full [ entry ~check:(Check.report chk) [] ]);
+    (run Full [ entry ~checked:[ Full ] ~full:double_release [] ]);
   Sys.remove "BENCH_known_bad.json"
 
 let suite =
