@@ -30,8 +30,7 @@ let sized ?smoke ?machcheck ?(checked = []) full =
 (* An experiment that only prints: it runs in full runs and writes no
    file. *)
 let printed name table =
-  Experiment.make name (sized ignore) (fun () ->
-      Experiment.result ~table [])
+  Experiment.make name (sized (fun () -> Experiment.result ~table []))
 
 (* --- E1: Table 1 ----------------------------------------------------------- *)
 
@@ -50,15 +49,15 @@ let fresh_native_api () =
   let m = Machine.create Machine.Config.pentium_133 in
   Api.of_monolithic (Monolithic.boot m ~fs_format:`Hpfs ())
 
-let table1_rows specs =
-  List.map
-    (fun spec ->
-      ( spec,
-        Table1.compare_systems ~wpos:(fresh_wpos_api ())
-          ~native:(fresh_native_api ()) spec ))
-    specs
-
-let table1_report rows_ =
+let table1 specs =
+  let rows_ =
+    List.map
+      (fun spec ->
+        ( spec,
+          Table1.compare_systems ~wpos:(fresh_wpos_api ())
+            ~native:(fresh_native_api ()) spec ))
+      specs
+  in
   Experiment.result
     [
       ( "rows",
@@ -78,7 +77,8 @@ let table1_report rows_ =
 
 (* Table 2 row by row: the measured trap and RPC counters, their ratio,
    and the paper's three rows beside them. *)
-let table2_report ((trap : Micro.table2_row), (rpc : Micro.table2_row)) =
+let table2 ?iters () =
+  let trap, rpc = Micro.table2 ?iters () in
   let row label digits (i, c, b, cpi) =
     [ ("row", Json.Str label); ("instructions", Json.fixed digits i);
       ("cycles", Json.fixed digits c); ("bus_cycles", Json.fixed digits b);
@@ -151,7 +151,8 @@ let figure1 () =
 
 (* --- E5: the factor of 3 ------------------------------------------------------- *)
 
-let fileserver_factor_report (f : Micro.factor) =
+let fileserver_factor ?ops () =
+  let f = Micro.fileserver_factor ?ops () in
   (* the paper: "about a factor of 3" *)
   Experiment.result
     [ ("rpc_cycles_per_op", Json.fixed 1 f.fx_rpc_cycles_per_op);
@@ -363,80 +364,59 @@ let registry =
     make ~file:"BENCH_table1.json" "table1"
       (sized
          ~smoke:(fun () ->
-           table1_rows
+           table1
              (List.filter_map Table1.find
                 [ "Graphics Low"; "PM Tasking Medium" ]))
-         (fun () -> table1_rows Table1.all))
-      table1_report;
+         (fun () -> table1 Table1.all));
     make ~file:"BENCH_table2.json" "table2"
-      (sized
-         ~smoke:(fun () -> Micro.table2 ~iters:20 ())
-         (fun () -> Micro.table2 ()))
-      table2_report;
+      (sized ~smoke:(table2 ~iters:20) table2);
     printed "figure-ipc" figure_ipc;
     make ~file:"BENCH_ipc.json" "ipc-stress"
       (sized ~checked:[ Smoke ]
-         ~smoke:(fun () ->
-           Ipc_stress.run ~workers:1 ~iters:3 ~sizes:[ 0; 4096 ] ())
-         ~machcheck:Ipc_stress.run Ipc_stress.run)
-      (fun r -> result (Ipc_stress.to_json r));
+         ~smoke:(Ipc_stress.run ~workers:1 ~iters:3 ~sizes:[ 0; 4096 ])
+         ~machcheck:Ipc_stress.run Ipc_stress.run);
     make ~file:"BENCH_faults.json" "fault-sweep"
       (sized ~checked:[ Smoke ]
-         ~smoke:(fun () ->
-           Fault_sweep.run ~clients:1 ~sessions:2 ~rates:[ 10_000 ] ())
-         ~machcheck:Fault_sweep.run Fault_sweep.run)
-      (fun r -> result ~seed:r.r_seed (Fault_sweep.to_json r));
+         ~smoke:(Fault_sweep.run ~clients:1 ~sessions:2 ~rates:[ 10_000 ])
+         ~machcheck:Fault_sweep.run Fault_sweep.run);
     make ~file:"BENCH_recovery.json" "recovery-sweep"
       (sized ~checked:[ Smoke ]
-         ~smoke:(fun () ->
-           Recovery_sweep.run ~ops:4 ~max_points:12 ~series:[ 4 ] ())
-         ~machcheck:(fun () -> Recovery_sweep.run ~ops:8 ~max_points:32 ())
+         ~smoke:(Recovery_sweep.run ~ops:4 ~max_points:12 ~series:[ 4 ])
+         ~machcheck:(Recovery_sweep.run ~ops:8 ~max_points:32)
          (* exhaustive: the cap sits far above the script's write count,
             so every single crash point is enumerated, none sampled *)
-         (fun () -> Recovery_sweep.run ~max_points:1024 ()))
-      (fun r ->
-        result ~seed:r.r_seed ~gates:(Recovery_sweep.gates r)
-          (Recovery_sweep.to_json r));
+         (Recovery_sweep.run ~max_points:1024));
     make ~file:"BENCH_smp.json" "smp-scaling"
       (sized ~checked:[ Smoke ]
-         ~smoke:(fun () ->
-           Smp_scaling.run ~cpus:[ 1; 2 ] ~pairs:2 ~iters:5 ~bytes:256
-             ~clients:2 ~sessions:1 ())
-         Smp_scaling.run)
-      (fun r -> result ~gates:(Smp_scaling.gates r) (Smp_scaling.to_json r));
+         ~smoke:
+           (Smp_scaling.run ~cpus:[ 1; 2 ] ~pairs:2 ~iters:5 ~bytes:256
+              ~clients:2 ~sessions:1)
+         Smp_scaling.run);
     make ~file:"BENCH_vfs.json" "vfs-walk"
       (sized ~checked:[ Full; Smoke ]
-         ~smoke:(fun () -> Vfs_walk.run ~depth:5 ~files:6 ~repeats:2 ~cpus:2 ())
-         ~machcheck:Vfs_walk.run Vfs_walk.run)
-      (fun r -> result ~gates:(Vfs_walk.gates r) (Vfs_walk.to_json r));
+         ~smoke:(Vfs_walk.run ~depth:5 ~files:6 ~repeats:2 ~cpus:2)
+         ~machcheck:Vfs_walk.run Vfs_walk.run);
     make ~file:"BENCH_net.json" "net-storm"
       (sized ~checked:[ Full; Smoke ]
-         ~smoke:(fun () ->
-           Net_storm.run ~cpus:[ 1; 2 ] ~endpoints:6 ~clients:50 ~packets:400
-             ~sessions:2 ~flood_syns:30 ~victim_ops:2 ())
-         ~machcheck:(fun () ->
-           Net_storm.run ~cpus:[ 1; 4 ] ~endpoints:8 ~clients:400
-             ~packets:1_200 ~sessions:4 ~flood_syns:48 ~victim_ops:3 ())
-         Net_storm.run)
-      (fun r -> result ~gates:(Net_storm.gates r) (Net_storm.to_json r));
+         ~smoke:
+           (Net_storm.run ~cpus:[ 1; 2 ] ~endpoints:6 ~clients:50 ~packets:400
+              ~sessions:2 ~flood_syns:30 ~victim_ops:2)
+         ~machcheck:
+           (Net_storm.run ~cpus:[ 1; 4 ] ~endpoints:8 ~clients:400
+              ~packets:1_200 ~sessions:4 ~flood_syns:48 ~victim_ops:3)
+         Net_storm.run);
     make ~file:"BENCH_storm.json" "fault-storm"
       (sized ~checked:[ Full; Smoke ]
-         ~smoke:(fun () ->
-           Fault_storm.run ~endpoints:6 ~rounds:16 ~victim_ops:3 ~clients:1
-             ~sessions:2 ())
-         ~machcheck:(fun () ->
-           Fault_storm.run ~endpoints:6 ~rounds:16 ~victim_ops:4 ~clients:2
-             ~sessions:2 ())
-         Fault_storm.run)
-      (fun r ->
-        result ~seed:r.fr_seed ~gates:(Fault_storm.gates r)
-          (Fault_storm.to_json r));
+         ~smoke:
+           (Fault_storm.run ~endpoints:6 ~rounds:16 ~victim_ops:3 ~clients:1
+              ~sessions:2)
+         ~machcheck:
+           (Fault_storm.run ~endpoints:6 ~rounds:16 ~victim_ops:4 ~clients:2
+              ~sessions:2)
+         Fault_storm.run);
     printed "figure1" figure1;
     make ~file:"BENCH_factor.json" "fileserver-factor"
-      (sized
-         ~smoke:(fun () -> Micro.fileserver_factor ~ops:20 ())
-         (fun () -> Micro.fileserver_factor ()))
-      fileserver_factor_report;
+      (sized ~smoke:(fileserver_factor ~ops:20) fileserver_factor);
     printed "finegrain" finegrain;
     printed "memfootprint" memfootprint;
     printed "drivers" drivers;

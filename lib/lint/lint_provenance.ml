@@ -11,7 +11,7 @@
      the same function, emit "schema_version" and call
      [Run_meta.envelope];
    - a function that opens a literal BENCH_*.json for writing must call
-     a [*to_json] builder or [Run_meta.envelope] for its contents. *)
+     [Run_meta.envelope] for its contents. *)
 
 (* The trigger is the quote-and-colon form a JSON builder emits for the
    experiment header key — diagnostics that merely mention the quoted
@@ -50,17 +50,6 @@ let check (g : Lint_graph.t) =
         List.exists
           (fun c -> Lint_graph.call_matches c envelope_targets)
           fn.Lint_graph.fn_calls
-      and calls_to_json =
-        List.exists
-          (fun c ->
-            let name =
-              match c.Lint_graph.c_key with
-              | Some k -> k
-              | None -> String.concat "." c.Lint_graph.c_path
-            in
-            let n = String.length name in
-            n >= 7 && String.sub name (n - 7) 7 = "to_json")
-          fn.Lint_graph.fn_calls
       in
       if has_experiment then (
         if not has_schema then
@@ -82,8 +71,7 @@ let check (g : Lint_graph.t) =
                   (git_rev/seed/timestamp)"
                  fn.Lint_graph.fn_key)
             :: !findings);
-      (* open_out "BENCH_x.json" must route through a builder or carry
-         the envelope inline *)
+      (* open_out "BENCH_x.json" must carry the envelope *)
       let writes_bench =
         let found = ref None in
         let it =
@@ -109,12 +97,12 @@ let check (g : Lint_graph.t) =
         !found
       in
       match writes_bench with
-      | Some (name, loc) when not (calls_to_json || calls_envelope) ->
+      | Some (name, loc) when not calls_envelope ->
           findings :=
             Lint_report.make ~rule:Lint_report.rule_provenance ~loc
               (Printf.sprintf
                  "%s is written without provenance: route the contents \
-                  through a to_json builder or Run_meta.envelope"
+                  through Run_meta.envelope"
                  name)
             :: !findings
       | _ -> ());

@@ -1,14 +1,16 @@
 (* A/B regression diff over two BENCH_*.json files.
 
-   Flattens both documents to (path, number) pairs, pairs them up, and
-   judges each delta by the metric's direction: names that look like
-   throughput/speedup regress when they fall, cost-like names (cycles,
-   misses, stalls...) regress when they rise, anything else is reported
-   but never gates.  Host-time and provenance fields are skipped — only
-   deterministic simulated metrics can fail a build.
+   Flattens both documents to (path, leaf) pairs, pairs them up, and
+   judges each numeric delta by the metric's direction: names that look
+   like throughput/speedup regress when they fall, cost-like names
+   (cycles, misses, stalls...) regress when they rise, anything else is
+   reported but never gates.  String leaves (phase and scenario names,
+   gate bounds, Machcheck findings) are compared too, with no direction.
+   Host-time and provenance fields are skipped — only deterministic
+   simulated output can fail a build.
 
    Threshold 0 means exact: every changed leaf fails, whatever its
-   direction, and so does every leaf present in only one file.  That is
+   direction or type, and so does every leaf present in only one file.  That is
    how the smoke run checks its output against the checked-in baselines
    — the simulator is deterministic, so nothing may move unannounced.
 
@@ -17,9 +19,10 @@
 
 type delta = {
   d_path : string;
-  d_a : float;
-  d_b : float;
-  d_change : float;  (* (b - a) / a; +inf when a = 0 and b <> 0 *)
+  d_a : Json.t;  (* a number or a string *)
+  d_b : Json.t;
+  d_change : float;  (* (b - a) / a; +inf when a = 0 and b <> 0; nan unless
+                        both are numbers *)
   d_direction : [ `Higher_better | `Lower_better | `Neutral ];
   d_regression : bool;
 }
@@ -27,14 +30,15 @@ type delta = {
 type verdict = {
   v_experiment : string;
   v_threshold : float;
-  v_compared : int;  (* numeric leaves present in both files *)
+  v_compared : int;  (* leaves present in both files *)
   v_only_a : string list;  (* leaves present in A but missing from B *)
   v_only_b : string list;
   v_deltas : delta list;  (* changed leaves only, worst first *)
   v_regressions : int;
 }
 
-(* Provenance and host-time noise: never compared. *)
+(* Provenance (git_rev, seed, timestamp) lives under "run"; it and
+   host-time noise are never compared. *)
 let skipped_subtree = function "run" -> true | _ -> false
 
 let contains path sub =
@@ -42,8 +46,7 @@ let contains path sub =
   let rec go i = i + m <= n && (String.sub path i m = sub || go (i + 1)) in
   m > 0 && go 0
 
-let skipped_leaf path =
-  List.exists (contains path) [ "host_ns"; "timestamp"; "git_rev"; "seed" ]
+let skipped_leaf path = contains path "host_ns"
 
 let direction path =
   let any = List.exists (contains path) in
@@ -56,7 +59,8 @@ let direction path =
   then `Lower_better
   else `Neutral
 
-(* Flatten to leaf paths.  Array elements are keyed by index, except
+(* Flatten to leaf paths, each leaf a number (a flag as 1 or 0) or a
+   string.  Array elements are keyed by index, except
    arrays of objects that carry identifying fields (system/bytes,
    workload/placement/ncpus...), which are keyed by those values so a
    reordered results array still lines up. *)
@@ -76,12 +80,11 @@ let flatten json =
     if parts = [] then None else Some (String.concat "/" parts)
   in
   let acc = ref [] in
+  let leaf path v = if not (skipped_leaf path) then acc := (path, v) :: !acc in
   let rec go path = function
-    | Json.Num x -> if not (skipped_leaf path) then acc := (path, x) :: !acc
-    | Json.Bool bv ->
-        if not (skipped_leaf path) then
-          acc := (path, if bv then 1.0 else 0.0) :: !acc
-    | Json.Str _ | Json.Null -> ()
+    | (Json.Num _ | Json.Str _) as v -> leaf path v
+    | Json.Bool bv -> leaf path (Json.Num (if bv then 1.0 else 0.0))
+    | Json.Null -> ()
     | Json.Obj fields ->
         List.iter
           (fun (k, v) ->
@@ -118,11 +121,14 @@ let verdict ~experiment ~threshold ja jb =
           incr compared;
           Hashtbl.remove tb path;
           if va <> vb then begin
-            let change =
-              if va = 0.0 then if vb > 0.0 then infinity else neg_infinity
-              else (vb -. va) /. Float.abs va
+            let change, dir =
+              match (va, vb) with
+              | Json.Num a, Json.Num b ->
+                  ( (if a = 0.0 then if b > 0.0 then infinity else neg_infinity
+                     else (b -. a) /. Float.abs a),
+                    direction path )
+              | _ -> (Float.nan, `Neutral)
             in
-            let dir = direction path in
             let regression =
               exact
               ||
@@ -199,10 +205,16 @@ let pp_verdict ppf v =
   if v.v_deltas = [] then Format.fprintf ppf "no metric changed@\n"
   else begin
     Format.fprintf ppf "%-52s %14s %14s %9s@\n" "metric" "A" "B" "change";
+    let text = function
+      | Json.Num x -> Printf.sprintf "%.1f" x
+      | v -> Json.compact v
+    in
     List.iter
       (fun d ->
-        Format.fprintf ppf "%-52s %14.1f %14.1f %8.1f%%%s@\n" d.d_path d.d_a
-          d.d_b (d.d_change *. 100.0)
+        Format.fprintf ppf "%-52s %14s %14s %9s%s@\n" d.d_path (text d.d_a)
+          (text d.d_b)
+          (if Float.is_nan d.d_change then ""
+           else Printf.sprintf "%.1f%%" (d.d_change *. 100.0))
           (if d.d_regression then "  << REGRESSION"
            else
              match d.d_direction with

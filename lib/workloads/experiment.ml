@@ -32,10 +32,10 @@ type entry = {
   run : profile -> result option;
 }
 
-type 'r sizes = {
-  full : unit -> 'r;
-  smoke : (unit -> 'r) option;
-  machcheck : (unit -> 'r) option;
+type sizes = {
+  full : unit -> result;
+  smoke : (unit -> result) option;
+  machcheck : (unit -> result) option;
   checked : profile list;
 }
 
@@ -47,7 +47,7 @@ let findings_gate = function
 
 (* The checker is installed around the whole workload, so every machine
    it boots (and every supervised restart) attaches to it. *)
-let make ?file name sizes report =
+let make ?file name sizes =
   let pick = function
     | Full -> Some sizes.full
     | Smoke -> sizes.smoke
@@ -58,7 +58,7 @@ let make ?file name sizes report =
       (fun size ->
         Check.with_checker (profile = Machcheck || List.mem profile sizes.checked)
         @@ fun chk ->
-        let r = report (size ()) in
+        let r = size () in
         let check = Option.map Check.report chk in
         { r with check; gates = r.gates @ findings_gate check })
       (pick profile)

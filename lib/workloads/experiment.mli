@@ -47,22 +47,22 @@ type entry = {
 }
 (** [run] is [None] for a profile the experiment is not part of. *)
 
-type 'r sizes = {
-  full : unit -> 'r;
-  smoke : (unit -> 'r) option;
-  machcheck : (unit -> 'r) option;
+type sizes = {
+  full : unit -> result;
+  smoke : (unit -> result) option;
+  machcheck : (unit -> result) option;
   checked : profile list;
       (** the profiles besides {!Machcheck} whose run goes under the
           checker *)
 }
-(** The workload call at each profile's size; [None] leaves the
+(** The workload run at each profile's size; [None] leaves the
     experiment out of that profile. *)
 
-val make : ?file:string -> string -> 'r sizes -> ('r -> result) -> entry
-(** [make ?file name sizes report] runs the workload at the profile's
-    size and reports it.  Under {!Machcheck} and the [checked] profiles
-    the whole run goes under a fresh {!Check}: the result carries its
-    report and one more gate, ["machcheck_findings" <= 0]. *)
+val make : ?file:string -> string -> sizes -> entry
+(** [make ?file name sizes] runs the workload at the profile's size.
+    Under {!Machcheck} and the [checked] profiles the whole run goes
+    under a fresh {!Check}: the result carries its report and one more
+    gate, ["machcheck_findings" <= 0]. *)
 
 val hr : string -> unit
 (** Prints a section header. *)

@@ -35,57 +35,6 @@
 open Mach.Ktypes
 module Sup = Mk_services.Supervisor
 
-type point = {
-  fp_scenario : string;
-  fp_ops : int;  (* operations attempted (or packets injected) *)
-  fp_completed : int;
-  fp_lost : int;  (* acked/attempted ops that never completed: must be 0 *)
-  fp_in_ops : int;  (* ops finishing inside a fault window *)
-  fp_in_ok : int;
-  fp_out_ops : int;
-  fp_out_ok : int;
-  fp_avail_in : float;  (* success ratio inside fault windows *)
-  fp_avail_out : float;
-  fp_rate_in : float;  (* successful ops per Mcycle inside windows *)
-  fp_rate_out : float;
-  fp_windows : int;  (* fault windows injected *)
-  fp_mttr : float;  (* mean time to repair, cycles (0 when n/a) *)
-  fp_restarts : int;
-  fp_wedge_kills : int;
-  fp_degraded : int;
-  fp_reboot_drops : int;  (* in-flight packets lost to shard reboots *)
-  fp_reincarnations : int;
-  fp_golden_ok : bool;  (* untouched shards identical to the control run *)
-  fp_fastfail_cycles : int;  (* degraded-mode error latency (-1 = n/a) *)
-}
-
-type result = { fr_seed : int; fr_points : point list }
-
-let base scenario =
-  {
-    fp_scenario = scenario;
-    fp_ops = 0;
-    fp_completed = 0;
-    fp_lost = 0;
-    fp_in_ops = 0;
-    fp_in_ok = 0;
-    fp_out_ops = 0;
-    fp_out_ok = 0;
-    fp_avail_in = 1.0;
-    fp_avail_out = 1.0;
-    fp_rate_in = 0.0;
-    fp_rate_out = 0.0;
-    fp_windows = 0;
-    fp_mttr = 0.0;
-    fp_restarts = 0;
-    fp_wedge_kills = 0;
-    fp_degraded = 0;
-    fp_reboot_drops = 0;
-    fp_reincarnations = 0;
-    fp_golden_ok = true;
-    fp_fastfail_cycles = -1;
-  }
-
 (* --- op ledger: completion-stamped outcomes vs fault windows -------------- *)
 
 (* A ledger notes each finished op's outcome at the global clock. *)
@@ -103,27 +52,63 @@ let mean_window windows =
   | [] -> 0.0
   | ws -> float_of_int (window_cycles ws) /. float_of_int (List.length ws)
 
-(* Fill the availability block of a point from a ledger + windows:
-   each op counts inside or outside by its completion stamp. *)
-let with_availability p l windows ~wall =
+(* The availability block of a row, from a ledger and the fault windows:
+   each op counts inside or outside by its completion stamp.  With it,
+   the worst success ratio over the two populations that have ops (1.0
+   when neither has). *)
+let availability ?mttr l windows ~wall =
   let inside at = List.exists (fun (a, b) -> at >= a && at <= b) windows in
   let count f = List.length (List.filter f l) in
   let iop = count (fun (at, _) -> inside at) in
   let iok = count (fun (at, ok) -> ok && inside at) in
   let oop = List.length l - iop and ook = count snd - iok in
   let wsum = window_cycles windows in
+  let avail_in = ratio iok iop and avail_out = ratio ook oop in
+  ( min
+      (if iop > 0 then avail_in else 1.0)
+      (if oop > 0 then avail_out else 1.0),
+    [ ("in_window_ops", Json.int iop); ("in_window_ok", Json.int iok);
+      ("out_window_ops", Json.int oop); ("out_window_ok", Json.int ook);
+      ("availability_in", Json.fixed 3 avail_in);
+      ("availability_out", Json.fixed 3 avail_out);
+      ("rate_in_per_mcycle", Json.fixed 3 (Scenario.per_mcycle iok wsum));
+      ( "rate_out_per_mcycle",
+        Json.fixed 3 (Scenario.per_mcycle ook (max 0 (wall - wsum))) );
+      ("fault_windows", Json.int (List.length windows));
+      ( "mttr_cycles",
+        Json.fixed 0 (Option.value mttr ~default:(mean_window windows)) ) ] )
+
+(* A scenario's row, and what the gates read of it: the ops it lost,
+   its worst success ratio, its golden asserts, and (crash-loop only)
+   its fast-fail latency, -1 when the server never demoted. *)
+type point = {
+  lost : int;
+  worst : float;
+  golden_ok : bool;
+  fastfail : int option;
+  row : (string * Json.t) list;
+}
+
+let point scenario ~ops ~completed ?(lost = 0)
+    ?(avail = availability [] [] ~wall:0) ?(restarts = 0) ?(wedge_kills = 0) ?(degraded = 0) ?(reboot_drops = 0)
+    ?(reincarnations = 0) ?(golden_ok = true) ?fastfail () =
+  let worst, avail_fields = avail in
   {
-    p with
-    fp_in_ops = iop;
-    fp_in_ok = iok;
-    fp_out_ops = oop;
-    fp_out_ok = ook;
-    fp_avail_in = ratio iok iop;
-    fp_avail_out = ratio ook oop;
-    fp_rate_in = Scenario.per_mcycle iok wsum;
-    fp_rate_out = Scenario.per_mcycle ook (max 0 (wall - wsum));
-    fp_windows = List.length windows;
-    fp_mttr = mean_window windows;
+    lost;
+    worst;
+    golden_ok;
+    fastfail = Option.map (fun c -> if degraded > 0 then c else -1) fastfail;
+    row =
+      [ ("scenario", Json.Str scenario); ("ops", Json.int ops);
+        ("completed", Json.int completed); ("lost", Json.int lost) ]
+      @ avail_fields
+      @ [ ("restarts", Json.int restarts);
+          ("wedge_kills", Json.int wedge_kills);
+          ("degraded", Json.int degraded);
+          ("reboot_drops", Json.int reboot_drops);
+          ("reincarnations", Json.int reincarnations);
+          ("golden_ok", Json.Bool golden_ok);
+          ("fastfail_cycles", Json.int (Option.value fastfail ~default:(-1))) ];
   }
 
 (* --- shard-golden: open-loop storm, untouched shards byte-identical ------- *)
@@ -180,18 +165,13 @@ let shard_golden ~endpoints ~rounds () =
   Array.iteri (fun i d -> if i <> victim && d <> dc.(i) then golden := false) df;
   (* the victim's shortfall is exactly the counted reboot drops *)
   if df.(victim) + drops <> dc.(victim) then golden := false;
-  let total = Array.fold_left ( + ) 0 df in
-  {
-    (base "shard-golden") with
-    fp_ops = rounds * endpoints;
-    fp_completed = total;
-    fp_lost = 0;  (* open loop: drops are expected, acked ops don't exist *)
-    fp_windows = List.length windows;
-    fp_mttr = mean_window windows;
-    fp_reboot_drops = drops;
-    fp_reincarnations = Netserver.shard_reincarnations netf;
-    fp_golden_ok = !golden;
-  }
+  (* open loop: drops are expected, acked ops don't exist *)
+  point "shard-golden" ~ops:(rounds * endpoints)
+    ~completed:(Array.fold_left ( + ) 0 df)
+    ~avail:(availability [] windows ~wall:0)
+    ~reboot_drops:drops
+    ~reincarnations:(Netserver.shard_reincarnations netf)
+    ~golden_ok:!golden ()
 
 (* --- shard-storm: closed-loop acked ops across shard micro-reboots -------- *)
 
@@ -228,17 +208,12 @@ let shard_storm ~victim_ops () =
       done);
   let t = Scenario.echo_clients e task ~ops:victim_ops ~budget:40 note in
   fun () ->
-    let p =
-      {
-        (base "shard-storm") with
-        fp_ops = victim_ops * ncpus;
-        fp_completed = t.acked;
-        fp_lost = t.lost;
-        fp_reboot_drops = Netserver.reboot_drops net;
-        fp_reincarnations = Netserver.shard_reincarnations net;
-      }
-    in
-    with_availability p !lg !windows ~wall:(Machine.global_now m)
+    point "shard-storm" ~ops:(victim_ops * ncpus) ~completed:t.acked
+      ~lost:t.lost
+      ~avail:(availability !lg !windows ~wall:(Machine.global_now m))
+      ~reboot_drops:(Netserver.reboot_drops net)
+      ~reincarnations:(Netserver.shard_reincarnations net)
+      ()
 
 (* --- fs-crash / fs-wedge: the health-supervised file server --------------- *)
 
@@ -267,24 +242,14 @@ let fs_scenario ~scenario ~seed ~clients ~sessions ~server_threads ~script () =
     let total = clients * sessions in
     let completed = List.length (List.filter snd !lg) in
     let path = Scenario.service_path in
-    let p =
-      {
-        (base scenario) with
-        fp_ops = total;
-        fp_completed = completed;
-        fp_lost = total - completed;
-        fp_restarts = Sup.path_restarts s.sup ~path;
-        fp_wedge_kills = Sup.path_wedge_kills s.sup ~path;
-        fp_degraded = Sup.degraded_count s.sup;
-      }
-    in
-    let p =
-      with_availability p !lg !(s.restarts) ~wall:(Machine.global_now e.m)
-    in
-    (* prefer the supervisor's own death-to-rebind MTTR when it has one *)
-    match Sup.mttr s.sup ~path with
-    | Some c -> { p with fp_mttr = float_of_int c }
-    | None -> p
+    (* the supervisor's own death-to-rebind MTTR when it has one *)
+    point scenario ~ops:total ~completed ~lost:(total - completed)
+      ~avail:
+        (availability ?mttr:(Option.map float_of_int (Sup.mttr s.sup ~path))
+           !lg !(s.restarts) ~wall:(Machine.global_now e.m))
+      ~restarts:(Sup.path_restarts s.sup ~path)
+      ~wedge_kills:(Sup.path_wedge_kills s.sup ~path)
+      ~degraded:(Sup.degraded_count s.sup) ()
 
 let fs_crash ~seed ~clients ~sessions () =
   fs_scenario ~scenario:"fs-crash" ~seed ~clients ~sessions ~server_threads:2
@@ -353,82 +318,38 @@ let crash_loop () =
           | Ok _ | Error _ -> fastfail := -1));
   fun () ->
     Sup.stop sup;
-    {
-      (base "crash-loop") with
-      fp_ops = !deaths;
-      fp_completed = 0;
-      fp_restarts = Sup.path_restarts sup ~path;
-      fp_degraded = Sup.degraded_count sup;
-      fp_fastfail_cycles = !fastfail;
-    }
+    point "crash-loop" ~ops:!deaths ~completed:0
+      ~restarts:(Sup.path_restarts sup ~path)
+      ~degraded:(Sup.degraded_count sup) ~fastfail:!fastfail ()
 
 (* --- sweep ----------------------------------------------------------------- *)
 
 let run ?(seed = 42) ?(endpoints = 16) ?(rounds = 40) ?(victim_ops = 12)
     ?(clients = 3) ?(sessions = 6) () =
-  {
-    fr_seed = seed;
-    fr_points =
-      [
-        shard_golden ~endpoints ~rounds ();
-        shard_storm ~victim_ops ();
-        fs_crash ~seed ~clients ~sessions ();
-        fs_wedge ~seed ~clients ~sessions ();
-        crash_loop ();
-      ];
-  }
-
-(* --- acceptance gates ------------------------------------------------------ *)
-
-let gates r =
-  let sum f = List.fold_left (fun acc p -> acc + f p) 0 r.fr_points in
-  let availability =
-    List.fold_left
-      (fun acc p ->
-        let acc = if p.fp_in_ops > 0 then min acc p.fp_avail_in else acc in
-        if p.fp_out_ops > 0 then min acc p.fp_avail_out else acc)
-      1.0 r.fr_points
+  let points =
+    [
+      shard_golden ~endpoints ~rounds ();
+      shard_storm ~victim_ops ();
+      fs_crash ~seed ~clients ~sessions ();
+      fs_wedge ~seed ~clients ~sessions ();
+      crash_loop ();
+    ]
   in
-  let golden = List.for_all (fun p -> p.fp_golden_ok) r.fr_points in
-  (* -1 when the server never demoted or the client never saw
-     [Kern_unavailable] *)
   let fastfail =
-    match List.find_opt (fun p -> p.fp_scenario = "crash-loop") r.fr_points with
-    | Some p when p.fp_degraded > 0 -> p.fp_fastfail_cycles
-    | Some _ | None -> -1
+    Option.value (List.find_map (fun p -> p.fastfail) points) ~default:(-1)
   in
-  Experiment.
-    [ at_most "lost" (float_of_int (sum (fun p -> p.fp_lost))) 0.0;
-      at_least "availability" availability 0.9;
-      at_least "golden_ok" (if golden then 1.0 else 0.0) 1.0;
-      at_least "fastfail_cycles_min" (float_of_int fastfail) 0.0;
-      at_most "fastfail_cycles_max" (float_of_int fastfail) 100_000.0 ]
-
-let to_json r =
-  [
-    ("seed", Json.int r.fr_seed);
-    ( "results",
-      Json.rows
-        (fun p ->
-          [ ("scenario", Json.Str p.fp_scenario); ("ops", Json.int p.fp_ops);
-            ("completed", Json.int p.fp_completed);
-            ("lost", Json.int p.fp_lost);
-            ("in_window_ops", Json.int p.fp_in_ops);
-            ("in_window_ok", Json.int p.fp_in_ok);
-            ("out_window_ops", Json.int p.fp_out_ops);
-            ("out_window_ok", Json.int p.fp_out_ok);
-            ("availability_in", Json.fixed 3 p.fp_avail_in);
-            ("availability_out", Json.fixed 3 p.fp_avail_out);
-            ("rate_in_per_mcycle", Json.fixed 3 p.fp_rate_in);
-            ("rate_out_per_mcycle", Json.fixed 3 p.fp_rate_out);
-            ("fault_windows", Json.int p.fp_windows);
-            ("mttr_cycles", Json.fixed 0 p.fp_mttr);
-            ("restarts", Json.int p.fp_restarts);
-            ("wedge_kills", Json.int p.fp_wedge_kills);
-            ("degraded", Json.int p.fp_degraded);
-            ("reboot_drops", Json.int p.fp_reboot_drops);
-            ("reincarnations", Json.int p.fp_reincarnations);
-            ("golden_ok", Json.Bool p.fp_golden_ok);
-            ("fastfail_cycles", Json.int p.fp_fastfail_cycles) ])
-        r.fr_points );
-  ]
+  Experiment.result ~seed
+    ~gates:
+      Experiment.
+        [ at_most "lost"
+            (float_of_int (List.fold_left (fun acc p -> acc + p.lost) 0 points))
+            0.0;
+          at_least "availability"
+            (List.fold_left (fun acc p -> min acc p.worst) 1.0 points)
+            0.9;
+          at_least "golden_ok"
+            (if List.for_all (fun p -> p.golden_ok) points then 1.0 else 0.0)
+            1.0;
+          at_least "fastfail_cycles_min" (float_of_int fastfail) 0.0;
+          at_most "fastfail_cycles_max" (float_of_int fastfail) 100_000.0 ]
+    [ ("seed", Json.int seed); ("results", Json.rows (fun p -> p.row) points) ]

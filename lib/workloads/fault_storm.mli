@@ -31,46 +31,20 @@
     completing inside a fault window (kill→repair for shards,
     restart-closure span for the file server) versus outside. *)
 
-type point = {
-  fp_scenario : string;
-  fp_ops : int;  (** operations attempted (or packets injected) *)
-  fp_completed : int;
-  fp_lost : int;  (** attempted ops that never completed: must be 0 *)
-  fp_in_ops : int;  (** ops finishing inside a fault window *)
-  fp_in_ok : int;
-  fp_out_ops : int;
-  fp_out_ok : int;
-  fp_avail_in : float;  (** success ratio inside fault windows *)
-  fp_avail_out : float;
-  fp_rate_in : float;  (** successful ops per Mcycle inside windows *)
-  fp_rate_out : float;
-  fp_windows : int;  (** fault windows injected *)
-  fp_mttr : float;  (** mean time to repair, cycles (0 when n/a) *)
-  fp_restarts : int;
-  fp_wedge_kills : int;
-  fp_degraded : int;
-  fp_reboot_drops : int;  (** in-flight packets lost to shard reboots *)
-  fp_reincarnations : int;
-  fp_golden_ok : bool;  (** untouched shards identical to the control run *)
-  fp_fastfail_cycles : int;  (** degraded-mode error latency (-1 = n/a) *)
-}
-
-type result = { fr_seed : int; fr_points : point list }
-
 val run :
   ?seed:int -> ?endpoints:int -> ?rounds:int -> ?victim_ops:int ->
-  ?clients:int -> ?sessions:int -> unit -> result
-(** Run all five scenarios.  [endpoints]/[rounds] size the open-loop
-    golden storm, [victim_ops] the closed-loop echo run, and
-    [clients]/[sessions] the file-server scenarios. *)
-
-val gates : result -> Experiment.gate list
-(** No acked or attempted operation lost; the worst success ratio over
-    every scenario's in-window and out-of-window populations at least
-    0.90; every golden assert held (untouched shards byte-identical to
-    the control run, victim shortfall exactly the counted drops, the
-    fault run dropped something); and the crash-loop fast-fail within
-    [0, 100000] cycles (-1 when the server never demoted). *)
-
-val to_json : result -> (string * Json.t) list
-(** The fields of [BENCH_storm.json] after the envelope. *)
+  ?clients:int -> ?sessions:int -> unit -> Experiment.result
+(** [BENCH_storm.json]: one ["results"] row per scenario — ops attempted
+    (or packets injected), completed and lost, the in-window and
+    out-of-window populations with their success ratios and rates,
+    fault windows and MTTR, supervisor and shard counters, the golden
+    assert and the degraded-mode fast-fail latency (-1 when n/a).
+    [endpoints]/[rounds] size the open-loop golden storm, [victim_ops]
+    the closed-loop echo run, and [clients]/[sessions] the file-server
+    scenarios.  Gates: no acked or attempted operation lost; the worst
+    success ratio over every scenario's in-window and out-of-window
+    populations at least 0.90; every golden assert held (untouched
+    shards byte-identical to the control run, victim shortfall exactly
+    the counted drops, the fault run dropped something); and the
+    crash-loop fast-fail within [0, 100000] cycles (-1 when the server
+    never demoted). *)

@@ -13,27 +13,6 @@
 
 module Sup = Mk_services.Supervisor
 
-type point = {
-  p_crash_ppm : int;
-  p_ops : int;  (* sessions attempted *)
-  p_completed : int;
-  p_retries : int;  (* call_retry re-issues *)
-  p_reopens : int;  (* whole-session restarts after a lost handle *)
-  p_restarts : int;  (* supervisor restarts of the file server *)
-  p_gave_up : bool;
-  p_injected_crashes : int;
-  p_disk_faults : int;  (* injected disk-level faults (write reordering) *)
-  p_cycles_per_op : float;
-}
-
-type result = {
-  r_seed : int;
-  r_clients : int;
-  r_sessions : int;
-  r_baseline_cycles_per_op : float;
-  r_points : point list;
-}
-
 (* Storage faults ride along at the crash rate: write reordering only —
    benign for a format whose durability contract is sync-based, but it
    exercises the barrier path under load.  (Torn writes and bit rot
@@ -45,6 +24,7 @@ let script ~seed ~crash_ppm ~disk =
   Mach.Fault.set_disk_rates plan ~disk ~reorder_ppm:crash_ppm ();
   plan
 
+(* One point: its cycles per session, and its row up to them. *)
 let run_point ~seed ~clients ~sessions ~crash_ppm =
   Scenario.run
     {
@@ -65,62 +45,38 @@ let run_point ~seed ~clients ~sessions ~crash_ppm =
   fun () ->
     Sup.stop s.sup;
     let ops = clients * sessions in
-    let count f = Option.fold ~none:0 ~some:f e.plan in
-    {
-      p_crash_ppm = crash_ppm;
-      p_ops = ops;
-      p_completed = !completed;
-      p_retries = e.sys.Mach.Sched.retry_attempts;
-      p_reopens = !(s.reopens);
-      p_restarts = Sup.restarts s.sup;
-      p_gave_up = Sup.gave_up s.sup;
-      p_injected_crashes = count Mach.Fault.injected_crashes;
-      p_disk_faults = count Mach.Fault.injected_disk_faults;
-      p_cycles_per_op =
-        (if ops = 0 then 0.0
-         else float_of_int (max 0 (!last_done - !(s.started))) /. float_of_int ops);
-    }
+    let count f = Json.int (Option.fold ~none:0 ~some:f e.plan) in
+    let ratio n = if ops = 0 then 0.0 else n /. float_of_int ops in
+    ( ratio (float_of_int (max 0 (!last_done - !(s.started)))),
+      [ ("crash_ppm", Json.int crash_ppm); ("ops", Json.int ops);
+        ("completed", Json.int !completed);
+        ("completion_rate", Json.fixed 3 (ratio (float_of_int !completed)));
+        ("retries", Json.int e.sys.Mach.Sched.retry_attempts);
+        ("reopens", Json.int !(s.reopens));
+        ("restarts", Json.int (Sup.restarts s.sup));
+        ("gave_up", Json.Bool (Sup.gave_up s.sup));
+        ("injected_crashes", count Mach.Fault.injected_crashes);
+        ("disk_faults", count Mach.Fault.injected_disk_faults) ] )
 
 let default_rates = [ 2_000; 10_000; 30_000 ]
 
 let run ?(seed = 42) ?(clients = 4) ?(sessions = 10) ?(rates = default_rates)
     () =
   if rates = [] then invalid_arg "Fault_sweep.run: empty rate list";
-  let baseline = run_point ~seed ~clients ~sessions ~crash_ppm:0 in
-  {
-    r_seed = seed;
-    r_clients = clients;
-    r_sessions = sessions;
-    r_baseline_cycles_per_op = baseline.p_cycles_per_op;
-    r_points =
-      List.map (fun ppm -> run_point ~seed ~clients ~sessions ~crash_ppm:ppm) rates;
-  }
-
-let to_json r =
-  [
-    ("seed", Json.int r.r_seed); ("clients", Json.int r.r_clients);
-    ("sessions", Json.int r.r_sessions);
-    ("ops", Json.int (r.r_clients * r.r_sessions));
-    ("baseline_cycles_per_op", Json.fixed 1 r.r_baseline_cycles_per_op);
-    ( "results",
-      Json.rows
-        (fun p ->
-          [ ("crash_ppm", Json.int p.p_crash_ppm); ("ops", Json.int p.p_ops);
-            ("completed", Json.int p.p_completed);
-            ( "completion_rate",
-              Json.fixed 3
-                (if p.p_ops = 0 then 0.0
-                 else float_of_int p.p_completed /. float_of_int p.p_ops)
-            );
-            ("retries", Json.int p.p_retries);
-            ("reopens", Json.int p.p_reopens);
-            ("restarts", Json.int p.p_restarts);
-            ("gave_up", Json.Bool p.p_gave_up);
-            ("injected_crashes", Json.int p.p_injected_crashes);
-            ("disk_faults", Json.int p.p_disk_faults);
-            ("cycles_per_op", Json.fixed 1 p.p_cycles_per_op);
-            ( "added_cycles_per_op",
-              Json.fixed 1
-                (p.p_cycles_per_op -. r.r_baseline_cycles_per_op) ) ])
-        r.r_points );
-  ]
+  let baseline, _ = run_point ~seed ~clients ~sessions ~crash_ppm:0 in
+  let rows =
+    List.map
+      (fun crash_ppm ->
+        let cycles, row = run_point ~seed ~clients ~sessions ~crash_ppm in
+        row
+        @ [ ("cycles_per_op", Json.fixed 1 cycles);
+            ("added_cycles_per_op", Json.fixed 1 (cycles -. baseline)) ])
+      rates
+  in
+  Experiment.result ~seed
+    [
+      ("seed", Json.int seed); ("clients", Json.int clients);
+      ("sessions", Json.int sessions); ("ops", Json.int (clients * sessions));
+      ("baseline_cycles_per_op", Json.fixed 1 baseline);
+      ("results", Json.rows Fun.id rows);
+    ]

@@ -10,34 +10,10 @@
     per operation against the zero-fault baseline — the measured cost of
     surviving a crashy server. *)
 
-type point = {
-  p_crash_ppm : int;
-  p_ops : int;
-  p_completed : int;
-  p_retries : int;
-  p_reopens : int;
-  p_restarts : int;
-  p_gave_up : bool;
-  p_injected_crashes : int;
-  p_disk_faults : int;
-      (** injected disk-level faults (write reordering at the same ppm
-          rate as server crashes) *)
-  p_cycles_per_op : float;
-}
-
-type result = {
-  r_seed : int;
-  r_clients : int;
-  r_sessions : int;
-  r_baseline_cycles_per_op : float;
-  r_points : point list;
-}
-
 val run :
   ?seed:int -> ?clients:int -> ?sessions:int -> ?rates:int list -> unit ->
-  result
-(** Run the baseline plus one point per crash rate (ppm per request;
-    default [[2_000; 10_000; 30_000]]). *)
-
-val to_json : result -> (string * Json.t) list
-(** The fields of [BENCH_faults.json] after the envelope. *)
+  Experiment.result
+(** [BENCH_faults.json]: the zero-fault baseline plus one ["results"]
+    row per crash rate (ppm per request; default
+    [[2_000; 10_000; 30_000]]), disk write reordering riding along at
+    the same rate. *)

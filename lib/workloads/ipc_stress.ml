@@ -1,25 +1,5 @@
 open Mach.Ktypes
 
-type point = {
-  pt_system : string;
-  pt_bytes : int;
-  pt_sim_cycles_per_op : float;
-  pt_host_ns_per_op : float;
-}
-
-type result = {
-  r_workers : int;
-  r_iters : int;
-  r_points : point list;
-  r_reply_hits : int;
-  r_reply_misses : int;
-  r_kbuf_allocs : int;
-  r_kbuf_frees : int;
-  r_kbuf_recycles : int;
-  r_kbuf_resets : int;
-  r_kbuf_peak_bytes : int;
-}
-
 (* One sustained run: [workers] client/server pairs on one machine, each
    pair doing [iters] round trips through the given transport.  The
    scheduler interleaves the pairs, so queue depths and buffer pressure
@@ -89,64 +69,59 @@ let measure ~system ~workers ~iters ~bytes =
 
 let default_sizes = [ 0; 32; 512; 4096; 16384; 65536 ]
 
-let run ?(workers = 4) ?(iters = 200) ?(sizes = default_sizes) () =
+(* Every point of the sweep: its system's name, its payload size and what
+   [measure] returned for it. *)
+let sweep ~workers ~iters ~sizes =
   if sizes = [] then invalid_arg "Ipc_stress.run: empty size list";
   let point system name bytes =
-    let sim, host, hits, misses, kb = measure ~system ~workers ~iters ~bytes in
-    ( { pt_system = name; pt_bytes = bytes; pt_sim_cycles_per_op = sim;
-        pt_host_ns_per_op = host },
-      (hits, misses, kb) )
+    (name, bytes, measure ~system ~workers ~iters ~bytes)
   in
-  let runs =
-    List.concat_map
-      (fun bytes ->
-        [ point `Mach_msg "mach_msg" bytes; point `Ibm_rpc "ibm_rpc" bytes ]
-        @
-        (* the copy-vs-remap series: same transport, same payload, the
-           transfer pinned to each path (remap only engages at page
-           granularity, so smaller sizes have no remap point) *)
-        if bytes >= Mach.Ktypes.remap_threshold then
-          [ point `Rpc_copy "rpc_copy" bytes;
-            point `Rpc_remap "rpc_remap" bytes ]
-        else [])
-      sizes
-  in
-  (* counters summed over the runs, the buffer peak their maximum *)
-  let total f = List.fold_left (fun acc (_, run) -> f acc run) 0 runs in
-  let kb f = total (fun acc (_, _, (kb : Mach.Ktext.buffer_stats)) -> acc + f kb) in
-  {
-    r_workers = workers;
-    r_iters = iters;
-    r_points = List.map fst runs;
-    r_reply_hits = total (fun acc (h, _, _) -> acc + h);
-    r_reply_misses = total (fun acc (_, ms, _) -> acc + ms);
-    r_kbuf_allocs = kb (fun kb -> kb.bs_allocs);
-    r_kbuf_frees = kb (fun kb -> kb.bs_frees);
-    r_kbuf_recycles = kb (fun kb -> kb.bs_recycles);
-    r_kbuf_resets = kb (fun kb -> kb.bs_resets);
-    r_kbuf_peak_bytes =
-      total (fun acc (_, _, kb) -> Int.max acc kb.Mach.Ktext.bs_peak_bytes);
-  }
+  List.concat_map
+    (fun bytes ->
+      [ point `Mach_msg "mach_msg" bytes; point `Ibm_rpc "ibm_rpc" bytes ]
+      @
+      (* the copy-vs-remap series: same transport, same payload, the
+         transfer pinned to each path (remap only engages at page
+         granularity, so smaller sizes have no remap point) *)
+      if bytes >= Mach.Ktypes.remap_threshold then
+        [ point `Rpc_copy "rpc_copy" bytes; point `Rpc_remap "rpc_remap" bytes ]
+      else [])
+    sizes
 
-let to_json r =
-  [
-    ("workers", Json.int r.r_workers); ("iters", Json.int r.r_iters);
-    ( "reply_cache",
-      Json.Obj
-        [ ("hits", Json.int r.r_reply_hits);
-          ("misses", Json.int r.r_reply_misses) ] );
-    ( "kbuf",
-      Json.Obj
-        [ ("allocs", Json.int r.r_kbuf_allocs);
-          ("frees", Json.int r.r_kbuf_frees);
-          ("recycles", Json.int r.r_kbuf_recycles);
-          ("resets", Json.int r.r_kbuf_resets);
-          ("peak_bytes", Json.int r.r_kbuf_peak_bytes) ] );
-    ( "results",
-      Json.rows
-        (fun p ->
-          [ ("system", Json.Str p.pt_system); ("bytes", Json.int p.pt_bytes);
-            ("sim_cycles_per_op", Json.fixed 1 p.pt_sim_cycles_per_op);
-            ("host_ns_per_op", Json.fixed 1 p.pt_host_ns_per_op) ])
-        r.r_points );
-  ]
+let sim_cycles_per_op ?(workers = 4) ?(iters = 200) ?(sizes = default_sizes) ()
+    =
+  List.map
+    (fun (name, bytes, (sim, _, _, _, _)) -> ((name, bytes), sim))
+    (sweep ~workers ~iters ~sizes)
+
+let run ?(workers = 4) ?(iters = 200) ?(sizes = default_sizes) () =
+  let runs = sweep ~workers ~iters ~sizes in
+  (* counters summed over the runs, the buffer peak their maximum *)
+  let total f = List.fold_left (fun acc (_, _, run) -> f acc run) 0 runs in
+  let count f = Json.int (total (fun acc run -> acc + f run)) in
+  let kb f = count (fun (_, _, _, _, (kb : Mach.Ktext.buffer_stats)) -> f kb) in
+  Experiment.result
+    [
+      ("workers", Json.int workers); ("iters", Json.int iters);
+      ( "reply_cache",
+        Json.Obj
+          [ ("hits", count (fun (_, _, hits, _, _) -> hits));
+            ("misses", count (fun (_, _, _, misses, _) -> misses)) ] );
+      ( "kbuf",
+        Json.Obj
+          [ ("allocs", kb (fun kb -> kb.bs_allocs));
+            ("frees", kb (fun kb -> kb.bs_frees));
+            ("recycles", kb (fun kb -> kb.bs_recycles));
+            ("resets", kb (fun kb -> kb.bs_resets));
+            ( "peak_bytes",
+              Json.int
+                (total (fun acc (_, _, _, _, kb) ->
+                     Int.max acc kb.Mach.Ktext.bs_peak_bytes)) ) ] );
+      ( "results",
+        Json.rows
+          (fun (name, bytes, (sim, host, _, _, _)) ->
+            [ ("system", Json.Str name); ("bytes", Json.int bytes);
+              ("sim_cycles_per_op", Json.fixed 1 sim);
+              ("host_ns_per_op", Json.fixed 1 host) ])
+          runs );
+    ]

@@ -5,33 +5,20 @@
     nanoseconds per operation, plus the reply-port-cache and kernel
     message-buffer statistics the run generated. *)
 
-type point = {
-  pt_system : string;
-      (** ["mach_msg"], ["ibm_rpc"], or — at page-sized payloads — the
-          copy-vs-remap comparison pair ["rpc_copy"] / ["rpc_remap"]
-          (same transport with the out-of-line transfer pinned to the
-          physical-copy or page-remap path respectively) *)
-  pt_bytes : int;
-  pt_sim_cycles_per_op : float;
-  pt_host_ns_per_op : float;
-}
-
-type result = {
-  r_workers : int;
-  r_iters : int;  (** round trips per worker pair per point *)
-  r_points : point list;
-  r_reply_hits : int;  (** reply-port cache hits, summed over runs *)
-  r_reply_misses : int;
-  r_kbuf_allocs : int;  (** kernel msg-buffer stats, summed over runs *)
-  r_kbuf_frees : int;
-  r_kbuf_recycles : int;
-  r_kbuf_resets : int;  (** whole-arena exhaustion resets, summed *)
-  r_kbuf_peak_bytes : int;  (** max peak across runs *)
-}
-
-val run : ?workers:int -> ?iters:int -> ?sizes:int list -> unit -> result
-(** Defaults: 4 worker pairs, 200 round trips each, {!default_sizes}.
+val run :
+  ?workers:int -> ?iters:int -> ?sizes:int list -> unit -> Experiment.result
+(** [BENCH_ipc.json]: one ["results"] row per point, each ["system"]
+    being ["mach_msg"], ["ibm_rpc"] or — at page-sized payloads — the
+    copy-vs-remap pair ["rpc_copy"] / ["rpc_remap"] (the same transport
+    with the out-of-line transfer pinned to the physical-copy or
+    page-remap path); the reply-port-cache and kernel message-buffer
+    counters are summed over the points, the buffer peak is their
+    maximum.  Defaults: 4 worker pairs, 200 round trips each, payloads
+    of 0 B to 64 KB.
     @raise Invalid_argument on an empty size list. *)
 
-val to_json : result -> (string * Json.t) list
-(** The fields of [BENCH_ipc.json] after the envelope. *)
+val sim_cycles_per_op :
+  ?workers:int -> ?iters:int -> ?sizes:int list -> unit ->
+  ((string * int) * float) list
+(** The same sweep's simulated cycles per operation by (system, bytes),
+    unrounded: the file keeps one decimal. *)

@@ -24,38 +24,6 @@
 
    All randomness is a seeded LCG: every number is deterministic. *)
 
-type point = {
-  np_phase : string;
-  np_ncpus : int;
-  np_clients : int;  (* distinct simulated client source ports *)
-  np_ops : int;  (* packets delivered, or sessions completed *)
-  np_wall_cycles : int;
-  np_throughput : float;  (* ops per million cycles of wall clock *)
-  np_speedup : float;  (* vs the 1-CPU point of the same phase *)
-  np_conns : int;  (* TCP connections opened *)
-  np_p50_cycles : int;  (* wire->socket delivery latency *)
-  np_p99_cycles : int;
-  np_fairness : float;  (* per-shard occupancy max/mean (1.0 = perfect) *)
-  np_syn_drops : int;
-  np_wire_drops : int;
-  np_reaped : int;
-  np_half_open_peak : int;
-  np_retries : int;
-  np_lost_acked : int;  (* acked ops that never completed: must be 0 *)
-  np_xshard_msgs : int;  (* registry messages + cross-shard accepts *)
-}
-
-type result = {
-  nr_cpus : int list;
-  nr_endpoints : int;
-  nr_clients : int;
-  nr_packets : int;
-  nr_bytes : int;
-  nr_sessions : int;
-  nr_flood_syns : int;
-  nr_points : point list;
-}
-
 (* --- deterministic randomness -------------------------------------------- *)
 
 let lcg_float s = float_of_int s /. float_of_int 0x40000000
@@ -96,37 +64,53 @@ let fairness net =
     let mean = float_of_int sum /. float_of_int (Array.length d) in
     float_of_int (Array.fold_left max 0 d) /. mean
 
+(* A point's phase, CPU count and throughput, and what it makes of its
+   speedup: the steady-phase gate at 4 CPUs, its p99/p50 ratio when it
+   is a skewed multi-CPU point (else 0), its lost acknowledged ops, and
+   its row. *)
 let finish ~phase ~clients ~ops ~conns ~lats ?(retries = 0) ?(lost = 0)
     ?(half_open_peak = 0) (e : Scenario.env) =
   let net = Option.get e.netserver and wall = Machine.global_now e.m in
   Netserver.clear_delivery_probe net;
+  let ncpus = Machine.ncpus e.m and throughput = Scenario.per_mcycle ops wall in
   let busiest =
     Array.fold_left
       (fun b l -> if List.length l > List.length b then l else b)
       lats.(0) lats
   in
   let pct = Scenario.percentiles busiest in
-  {
-    np_phase = phase;
-    np_ncpus = Machine.ncpus e.m;
-    np_clients = clients;
-    np_ops = ops;
-    np_wall_cycles = wall;
-    np_throughput = Scenario.per_mcycle ops wall;
-    np_speedup = 0.0;  (* filled in once the 1-CPU anchor is known *)
-    np_conns = conns;
-    np_p50_cycles = pct 0.50;
-    np_p99_cycles = pct 0.99;
-    np_fairness = fairness net;
-    np_syn_drops = Netserver.syn_drops net;
-    np_wire_drops = Netserver.wire_drops net;
-    np_reaped = Netserver.reaped_half_open net;
-    np_half_open_peak = half_open_peak;
-    np_retries = retries;
-    np_lost_acked = lost;
-    np_xshard_msgs =
-      Netserver.registry_messages net + Netserver.cross_shard_accepts net;
-  }
+  let p50 = pct 0.50 and p99 = pct 0.99 in
+  let rest =
+    [ ("conns", Json.int conns); ("p50_cycles", Json.int p50);
+      ("p99_cycles", Json.int p99);
+      ("fairness", Json.fixed 3 (fairness net));
+      ("syn_drops", Json.int (Netserver.syn_drops net));
+      ("wire_drops", Json.int (Netserver.wire_drops net));
+      ("reaped", Json.int (Netserver.reaped_half_open net));
+      ("half_open_peak", Json.int half_open_peak);
+      ("retries", Json.int retries); ("lost_acked", Json.int lost);
+      ( "xshard_msgs",
+        Json.int
+          (Netserver.registry_messages net + Netserver.cross_shard_accepts net)
+      ) ]
+  in
+  ( phase,
+    ncpus,
+    throughput,
+    fun speedup ->
+      ( (if phase = "steady" && ncpus = 4 then
+           [ Experiment.at_least "steady_speedup_4cpu" speedup 2.5 ]
+         else []),
+        (if phase = "skew" && ncpus > 1 && p50 > 0 then
+           float_of_int p99 /. float_of_int p50
+         else 0.0),
+        lost,
+        [ ("phase", Json.Str phase); ("ncpus", Json.int ncpus);
+          ("clients", Json.int clients); ("ops", Json.int ops);
+          ("wall_cycles", Json.int wall);
+          ("throughput_ops_per_mcycle", Json.fixed 3 throughput);
+          ("speedup", Json.fixed 3 speedup) ]
+        @ rest ) )
 
 (* --- steady / skew: the datagram firehose -------------------------------- *)
 
@@ -368,91 +352,38 @@ let run ?(cpus = default_cpus) ?(endpoints = 32) ?(clients = 20_000)
     cpus;
   let flood_ncpus = List.fold_left max 1 cpus in
   let points =
-    List.concat_map
-      (fun ncpus ->
-        [
-          measure_firehose ~phase:"steady" ~ncpus ~endpoints ~clients ~packets
-            ~bytes ~zipf:false;
-          measure_firehose ~phase:"skew" ~ncpus ~endpoints ~clients ~packets
-            ~bytes ~zipf:true;
-          measure_churn ~ncpus ~sessions;
+    Scenario.speedups
+      (List.concat_map
+         (fun ncpus ->
+           [
+             measure_firehose ~phase:"steady" ~ncpus ~endpoints ~clients
+               ~packets ~bytes ~zipf:false;
+             measure_firehose ~phase:"skew" ~ncpus ~endpoints ~clients
+               ~packets ~bytes ~zipf:true;
+             measure_churn ~ncpus ~sessions;
+           ])
+         cpus
+      @ [
+          measure_synflood ~ncpus:flood_ncpus ~flood_syns ~victim_ops;
+          measure_slowloris ~ncpus:flood_ncpus ~flood_syns ~victim_ops;
         ])
-      cpus
-    @ [
-        measure_synflood ~ncpus:flood_ncpus ~flood_syns ~victim_ops;
-        measure_slowloris ~ncpus:flood_ncpus ~flood_syns ~victim_ops;
-      ]
   in
-  {
-    nr_cpus = cpus;
-    nr_endpoints = endpoints;
-    nr_clients = clients;
-    nr_packets = packets;
-    nr_bytes = bytes;
-    nr_sessions = sessions;
-    nr_flood_syns = flood_syns;
-    nr_points =
-      Scenario.speedups
-        (fun p -> (p.np_phase, p.np_ncpus, p.np_throughput))
-        (fun p np_speedup -> { p with np_speedup })
-        points;
-  }
-
-(* --- acceptance gates ------------------------------------------------------ *)
-
-(* Steady speedup at 4 CPUs (when swept), the worst p99/p50 ratio across
-   the skewed multi-CPU points, and zero lost acknowledged operations. *)
-let gates r =
-  let steady4 =
-    List.filter_map
-      (fun p ->
-        if p.np_phase = "steady" && p.np_ncpus = 4 then
-          Some (Experiment.at_least "steady_speedup_4cpu" p.np_speedup 2.5)
-        else None)
-      r.nr_points
-  in
-  let tail =
-    List.fold_left
-      (fun acc p ->
-        if p.np_phase = "skew" && p.np_ncpus > 1 && p.np_p50_cycles > 0 then
-          max acc
-            (float_of_int p.np_p99_cycles /. float_of_int p.np_p50_cycles)
-        else acc)
-      0.0 r.nr_points
-  in
-  let lost = List.fold_left (fun acc p -> acc + p.np_lost_acked) 0 r.nr_points in
-  steady4
-  @ [ Experiment.at_most "skew_p99_over_p50" tail 3.0;
-      Experiment.at_most "lost_acked" (float_of_int lost) 0.0 ]
-
-let to_json r =
-  [
-    ("cpus", Json.Arr (List.map Json.int r.nr_cpus));
-    ( "params",
-      Json.Obj
-        [ ("endpoints", Json.int r.nr_endpoints);
-          ("clients", Json.int r.nr_clients);
-          ("packets", Json.int r.nr_packets); ("bytes", Json.int r.nr_bytes);
-          ("sessions", Json.int r.nr_sessions);
-          ("flood_syns", Json.int r.nr_flood_syns) ] );
-    ( "results",
-      Json.rows
-        (fun p ->
-          [ ("phase", Json.Str p.np_phase); ("ncpus", Json.int p.np_ncpus);
-            ("clients", Json.int p.np_clients); ("ops", Json.int p.np_ops);
-            ("wall_cycles", Json.int p.np_wall_cycles);
-            ("throughput_ops_per_mcycle", Json.fixed 3 p.np_throughput);
-            ("speedup", Json.fixed 3 p.np_speedup);
-            ("conns", Json.int p.np_conns);
-            ("p50_cycles", Json.int p.np_p50_cycles);
-            ("p99_cycles", Json.int p.np_p99_cycles);
-            ("fairness", Json.fixed 3 p.np_fairness);
-            ("syn_drops", Json.int p.np_syn_drops);
-            ("wire_drops", Json.int p.np_wire_drops);
-            ("reaped", Json.int p.np_reaped);
-            ("half_open_peak", Json.int p.np_half_open_peak);
-            ("retries", Json.int p.np_retries);
-            ("lost_acked", Json.int p.np_lost_acked);
-            ("xshard_msgs", Json.int p.np_xshard_msgs) ])
-        r.nr_points );
-  ]
+  (* the worst p99/p50 ratio over the skewed multi-CPU points, and the
+     acknowledged ops lost in any phase *)
+  let tail = List.fold_left (fun acc (_, t, _, _) -> max acc t) 0.0 points in
+  let lost = List.fold_left (fun acc (_, _, l, _) -> acc + l) 0 points in
+  Experiment.result
+    ~gates:
+      (List.concat_map (fun (g, _, _, _) -> g) points
+      @ [ Experiment.at_most "skew_p99_over_p50" tail 3.0;
+          Experiment.at_most "lost_acked" (float_of_int lost) 0.0 ])
+    [
+      ("cpus", Json.Arr (List.map Json.int cpus));
+      ( "params",
+        Json.Obj
+          [ ("endpoints", Json.int endpoints); ("clients", Json.int clients);
+            ("packets", Json.int packets); ("bytes", Json.int bytes);
+            ("sessions", Json.int sessions);
+            ("flood_syns", Json.int flood_syns) ] );
+      ("results", Json.rows (fun (_, _, _, row) -> row) points);
+    ]

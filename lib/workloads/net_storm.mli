@@ -15,38 +15,6 @@
 
     All randomness is a seeded LCG: results are deterministic. *)
 
-type point = {
-  np_phase : string;  (* steady | skew | churn | synflood | slowloris *)
-  np_ncpus : int;
-  np_clients : int;  (* distinct simulated client source ports *)
-  np_ops : int;  (* packets delivered, or sessions/ops completed *)
-  np_wall_cycles : int;
-  np_throughput : float;  (* ops per million cycles of wall clock *)
-  np_speedup : float;  (* vs the 1-CPU point of the same phase *)
-  np_conns : int;  (* TCP connections opened *)
-  np_p50_cycles : int;  (* busiest shard's rx-ring-entry -> delivery *)
-  np_p99_cycles : int;  (* latency percentiles, home-CPU cycles *)
-  np_fairness : float;  (* per-shard occupancy max/mean (1.0 = perfect) *)
-  np_syn_drops : int;  (* SYNs refused by backlog backpressure *)
-  np_wire_drops : int;  (* packets lost to injected faults *)
-  np_reaped : int;  (* half-open embryos closed by the reaper *)
-  np_half_open_peak : int;  (* worst half-open population observed *)
-  np_retries : int;  (* victim operation retries *)
-  np_lost_acked : int;  (* acked ops that never completed: must be 0 *)
-  np_xshard_msgs : int;  (* registry messages + cross-shard accepts *)
-}
-
-type result = {
-  nr_cpus : int list;
-  nr_endpoints : int;
-  nr_clients : int;
-  nr_packets : int;
-  nr_bytes : int;
-  nr_sessions : int;
-  nr_flood_syns : int;
-  nr_points : point list;
-}
-
 val run :
   ?cpus:int list ->
   ?endpoints:int ->
@@ -57,16 +25,17 @@ val run :
   ?flood_syns:int ->
   ?victim_ops:int ->
   unit ->
-  result
-(** Defaults: cpus [1;2;4;8], 32 endpoints, 20_000 clients, 12_000
+  Experiment.result
+(** [BENCH_net.json]: one ["results"] row per (phase, CPU count) point —
+    ops (packets delivered, or sessions or acknowledged ops completed),
+    throughput per million cycles and speedup against the 1-CPU point
+    of the same phase, the busiest shard's p50/p99 wire-to-socket
+    latency, per-shard occupancy fairness (max/mean), the drop, reap
+    and retry counters, acknowledged ops lost, and cross-shard messages.
+    Defaults: cpus [1;2;4;8], 32 endpoints, 20_000 clients, 12_000
     packets per firehose point, 512-byte payloads, 24 sessions per CPU,
-    200 flood SYNs, 12 victim ops per CPU. *)
-
-val gates : result -> Experiment.gate list
-(** Steady-phase packets/sec at 4 CPUs at least 2.5x of 1 CPU (when the
-    sweep has 4 CPUs), worst p99/p50 delivery-latency ratio over the
-    skewed multi-CPU points at most 3, and no acknowledged operation
-    lost in any phase. *)
-
-val to_json : result -> (string * Json.t) list
-(** The fields of [BENCH_net.json] after the envelope. *)
+    200 flood SYNs, 12 victim ops per CPU.  Gates: steady-phase
+    packets/sec at 4 CPUs at least 2.5x of 1 CPU (when the sweep has 4
+    CPUs), worst p99/p50 delivery-latency ratio over the skewed
+    multi-CPU points at most 3, and no acknowledged operation lost in
+    any phase. *)

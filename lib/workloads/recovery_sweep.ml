@@ -14,54 +14,12 @@
    - no torn state: the recovered volume passes the full invariant scan.
 
    Violations surface as Machcheck "crash" findings when a checker is
-   installed, and in the point records either way.  Two side series
+   installed, and in the point rows either way.  Two side series
    measure the journal's cost (cycles and disk writes per op, JFS vs the
    same format without a journal) and recovery latency (replay time as a
    function of journal fill). *)
 
 module F = Fileserver
-
-type crash_point = {
-  cp_write : int;  (* power cut at this disk write (1-based) *)
-  cp_acked : int;  (* ops acknowledged before the cut *)
-  cp_replayed_txns : int;
-  cp_replayed_blocks : int;
-  cp_discarded : int;
-  cp_fsck_findings : int;
-  cp_lost : int;  (* acked ops missing/wrong after recovery *)
-  cp_torn : int;  (* invariant violations after recovery *)
-  cp_recovery_cycles : int;
-}
-
-type overhead_point = {
-  ov_ops : int;
-  ov_plain_cycles_per_op : float;  (* same format, no journal (HPFS) *)
-  ov_jfs_cycles_per_op : float;
-  ov_plain_disk_writes : int;
-  ov_jfs_disk_writes : int;
-  ov_journal_records : int;
-}
-
-type latency_point = {
-  lt_ops : int;
-  lt_journal_records : int;
-  lt_replayed_txns : int;
-  lt_replayed_blocks : int;
-  lt_recovery_cycles : int;
-}
-
-type result = {
-  r_seed : int;
-  r_ops : int;
-  r_total_writes : int;  (* disk writes the un-faulted workload issues *)
-  r_points_checked : int;
-  r_exhaustive : bool;  (* every write index was a crash point *)
-  r_lost_writes : int;
-  r_torn_states : int;
-  r_points : crash_point list;
-  r_overhead : overhead_point list;
-  r_latency : latency_point list;
-}
 
 (* --- the scripted workload ----------------------------------------------- *)
 
@@ -262,17 +220,15 @@ let run_crash_point ~seed ~ops ~n =
       chk e.sys Check.crash_point_checked),
     fun () ->
       let rv, cycles = !outcome in
-      {
-        cp_write = n;
-        cp_acked = List.length !expect;
-        cp_replayed_txns = rv.F.Journal.rv_replayed_txns;
-        cp_replayed_blocks = rv.F.Journal.rv_replayed_blocks;
-        cp_discarded = rv.F.Journal.rv_discarded;
-        cp_fsck_findings = !fsck_count;
-        cp_lost = !lost;
-        cp_torn = !torn;
-        cp_recovery_cycles = max 0 cycles;
-      } )
+      ( !lost,
+        !torn,
+        [ ("write", Json.int n); ("acked_ops", Json.int (List.length !expect));
+          ("replayed_txns", Json.int rv.F.Journal.rv_replayed_txns);
+          ("replayed_blocks", Json.int rv.F.Journal.rv_replayed_blocks);
+          ("discarded", Json.int rv.F.Journal.rv_discarded);
+          ("fsck_findings", Json.int !fsck_count); ("lost", Json.int !lost);
+          ("torn", Json.int !torn);
+          ("recovery_cycles", Json.int (max 0 cycles)) ] ) )
 
 (* --- journal overhead and recovery latency -------------------------------- *)
 
@@ -295,14 +251,17 @@ let run_overhead_point ~ops =
   in
   let plain_cycles, plain_writes, _ = timed Plain in
   let jfs_cycles, jfs_writes, records = timed Journalled in
-  {
-    ov_ops = ops;
-    ov_plain_cycles_per_op = plain_cycles;
-    ov_jfs_cycles_per_op = jfs_cycles;
-    ov_plain_disk_writes = plain_writes;
-    ov_jfs_disk_writes = jfs_writes;
-    ov_journal_records = records;
-  }
+  [ ("ops", Json.int ops);
+    ("plain_cycles_per_op", Json.fixed 1 plain_cycles);
+    ("jfs_cycles_per_op", Json.fixed 1 jfs_cycles);
+    ( "overhead_pct",
+      Json.fixed 1
+        (if plain_cycles > 0.0 then
+           (jfs_cycles -. plain_cycles) /. plain_cycles *. 100.0
+         else 0.0) );
+    ("plain_disk_writes", Json.int plain_writes);
+    ("jfs_disk_writes", Json.int jfs_writes);
+    ("journal_records", Json.int records) ]
 
 (* Run the workload without a sync, abandon the dirty cache (the crash),
    and time the recovery mount: replay work grows with journal fill. *)
@@ -316,13 +275,11 @@ let run_latency_point ~ops =
       | Error err, _ -> Scenario.fail_fs err),
     fun () ->
       let rv, cycles = !outcome in
-      {
-        lt_ops = ops;
-        lt_journal_records = F.Extfs.journal_writes cache;
-        lt_replayed_txns = rv.F.Journal.rv_replayed_txns;
-        lt_replayed_blocks = rv.F.Journal.rv_replayed_blocks;
-        lt_recovery_cycles = max 0 cycles;
-      } )
+      [ ("ops", Json.int ops);
+        ("journal_records", Json.int (F.Extfs.journal_writes cache));
+        ("replayed_txns", Json.int rv.F.Journal.rv_replayed_txns);
+        ("replayed_blocks", Json.int rv.F.Journal.rv_replayed_blocks);
+        ("recovery_cycles", Json.int (max 0 cycles)) ] )
 
 (* --- the sweep ------------------------------------------------------------ *)
 
@@ -346,66 +303,19 @@ let run ?(seed = 42) ?(ops = 12) ?(max_points = 64) ?(series = default_series)
   let points = List.map (fun n -> run_crash_point ~seed ~ops ~n) indices in
   let overhead = List.map (fun ops -> run_overhead_point ~ops) series in
   let latency = List.map (fun ops -> run_latency_point ~ops) series in
-  {
-    r_seed = seed;
-    r_ops = ops;
-    r_total_writes = total;
-    r_points_checked = List.length points;
-    r_exhaustive = total <= max_points;
-    r_lost_writes = List.fold_left (fun a p -> a + p.cp_lost) 0 points;
-    r_torn_states = List.fold_left (fun a p -> a + p.cp_torn) 0 points;
-    r_points = points;
-    r_overhead = overhead;
-    r_latency = latency;
-  }
-
-let overhead_pct p =
-  if p.ov_plain_cycles_per_op > 0.0 then
-    (p.ov_jfs_cycles_per_op -. p.ov_plain_cycles_per_op)
-    /. p.ov_plain_cycles_per_op *. 100.0
-  else 0.0
-
-let to_json r =
-  [
-    ("seed", Json.int r.r_seed); ("ops", Json.int r.r_ops);
-    ("total_writes", Json.int r.r_total_writes);
-    ("points_checked", Json.int r.r_points_checked);
-    ("exhaustive", Json.Bool r.r_exhaustive);
-    ("lost_writes", Json.int r.r_lost_writes);
-    ("torn_states", Json.int r.r_torn_states);
-    ( "crash_points",
-      Json.rows
-        (fun p ->
-          [ ("write", Json.int p.cp_write); ("acked_ops", Json.int p.cp_acked);
-            ("replayed_txns", Json.int p.cp_replayed_txns);
-            ("replayed_blocks", Json.int p.cp_replayed_blocks);
-            ("discarded", Json.int p.cp_discarded);
-            ("fsck_findings", Json.int p.cp_fsck_findings);
-            ("lost", Json.int p.cp_lost); ("torn", Json.int p.cp_torn);
-            ("recovery_cycles", Json.int p.cp_recovery_cycles) ])
-        r.r_points );
-    ( "journal_overhead",
-      Json.rows
-        (fun p ->
-          [ ("ops", Json.int p.ov_ops);
-            ("plain_cycles_per_op", Json.fixed 1 p.ov_plain_cycles_per_op);
-            ("jfs_cycles_per_op", Json.fixed 1 p.ov_jfs_cycles_per_op);
-            ("overhead_pct", Json.fixed 1 (overhead_pct p));
-            ("plain_disk_writes", Json.int p.ov_plain_disk_writes);
-            ("jfs_disk_writes", Json.int p.ov_jfs_disk_writes);
-            ("journal_records", Json.int p.ov_journal_records) ])
-        r.r_overhead );
-    ( "recovery_latency",
-      Json.rows
-        (fun p ->
-          [ ("ops", Json.int p.lt_ops);
-            ("journal_records", Json.int p.lt_journal_records);
-            ("replayed_txns", Json.int p.lt_replayed_txns);
-            ("replayed_blocks", Json.int p.lt_replayed_blocks);
-            ("recovery_cycles", Json.int p.lt_recovery_cycles) ])
-        r.r_latency );
-  ]
-
-let gates r =
-  [ Experiment.at_most "lost_writes" (float_of_int r.r_lost_writes) 0.0;
-    Experiment.at_most "torn_states" (float_of_int r.r_torn_states) 0.0 ]
+  let lost = List.fold_left (fun a (l, _, _) -> a + l) 0 points in
+  let torn = List.fold_left (fun a (_, t, _) -> a + t) 0 points in
+  Experiment.result ~seed
+    ~gates:
+      [ Experiment.at_most "lost_writes" (float_of_int lost) 0.0;
+        Experiment.at_most "torn_states" (float_of_int torn) 0.0 ]
+    [
+      ("seed", Json.int seed); ("ops", Json.int ops);
+      ("total_writes", Json.int total);
+      ("points_checked", Json.int (List.length points));
+      ("exhaustive", Json.Bool (total <= max_points));
+      ("lost_writes", Json.int lost); ("torn_states", Json.int torn);
+      ("crash_points", Json.rows (fun (_, _, row) -> row) points);
+      ("journal_overhead", Json.rows Fun.id overhead);
+      ("recovery_latency", Json.rows Fun.id latency);
+    ]

@@ -92,15 +92,16 @@ let lcg s = ((s * 1103515245) + 12345) land 0x3fffffff
 let per_mcycle ops cycles =
   if cycles <= 0 then 0.0 else float_of_int ops /. float_of_int cycles *. 1e6
 
-let speedups key set points =
-  let keys = List.map key points in
-  List.map2
-    (fun p (series, _, rate) ->
-      set p
-        (match List.find_opt (fun (s, n, _) -> n = 1 && s = series) keys with
-        | Some (_, _, anchor) when anchor > 0.0 -> rate /. anchor
+let speedups points =
+  List.map
+    (fun (series, _, rate, build) ->
+      build
+        (match
+           List.find_opt (fun (s, n, _, _) -> n = 1 && s = series) points
+         with
+        | Some (_, _, anchor, _) when anchor > 0.0 -> rate /. anchor
         | _ -> 1.0))
-    points keys
+    points
 
 let percentiles samples =
   let a = Array.of_list samples in

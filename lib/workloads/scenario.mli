@@ -59,11 +59,10 @@ val lcg : int -> int
 val per_mcycle : int -> int -> float
 (** Operations per million cycles (0 when no cycles passed). *)
 
-val speedups :
-  ('p -> string * int * float) -> ('p -> float -> 'p) -> 'p list -> 'p list
-(** [speedups key set points]: [key] gives a point's series, CPU count and
-    throughput; [set] stores its throughput over that of the 1-CPU point
-    of its series (1.0 without one). *)
+val speedups : (string * int * float * (float -> 'a)) list -> 'a list
+(** [speedups points]: each point gives its series, CPU count and
+    throughput, and builds its row from its throughput over that of the
+    1-CPU point of its series (1.0 without one). *)
 
 val percentiles : int list -> float -> int
 (** Sorts the samples once; then maps [p] to the sample at rank [p * n]

@@ -32,34 +32,6 @@ let placement_name = function
   | Crossed -> "crossed"
   | Unbalanced -> "unbalanced"
 
-type point = {
-  sp_workload : string;  (* "ipc" or "fileserver" *)
-  sp_placement : string;
-  sp_ncpus : int;
-  sp_ops : int;
-  sp_wall_cycles : int;  (* furthest-ahead CPU clock at completion *)
-  sp_throughput : float;  (* ops per million cycles of wall clock *)
-  sp_speedup : float;  (* vs the 1-CPU point of the same series *)
-  sp_ipis : int;
-  sp_xmsgs : int;  (* cross-CPU scheduler messages delivered *)
-  sp_steals : int;
-  sp_coherence_misses : int;
-  sp_bus_stall_cycles : int;
-  sp_bus_transactions : int;
-}
-
-type result = {
-  r_cpus : int list;
-  r_pairs : int;
-  r_iters : int;
-  r_bytes : int;
-  r_clients : int;
-  r_sessions : int;
-  r_points : point list;
-  r_state : Machine.Footprint.machine_state list;
-      (* per-CPU machine-state bytes at each CPU count (density) *)
-}
-
 (* Sum an SMP counter over every CPU of the machine. *)
 let sum_cpus m f =
   let acc = ref 0 in
@@ -68,23 +40,34 @@ let sum_cpus m f =
   done;
   !acc
 
+(* A point's series, CPU count and throughput, and its row given its
+   speedup, with the headline gate when it is the colocated ipc point at
+   4 CPUs. *)
 let finish ~workload ~placement ~ops (e : Scenario.env) () =
+  (* wall: the furthest-ahead CPU clock at completion *)
   let m = e.m and wall = Machine.global_now e.m in
-  {
-    sp_workload = workload;
-    sp_placement = placement;
-    sp_ncpus = Machine.ncpus m;
-    sp_ops = ops;
-    sp_wall_cycles = wall;
-    sp_throughput = Scenario.per_mcycle ops wall;
-    sp_speedup = 0.0;  (* filled in once the 1-CPU anchor is known *)
-    sp_ipis = sum_cpus m Machine.Perf.ipis_sent;
-    sp_xmsgs = Mach.Sched.total_xmsgs e.sys;
-    sp_steals = Mach.Sched.total_steals e.sys;
-    sp_coherence_misses = sum_cpus m Machine.Perf.coherence_misses;
-    sp_bus_stall_cycles = sum_cpus m Machine.Perf.bus_stall_cycles;
-    sp_bus_transactions = Machine.Bus.transactions m.Machine.bus;
-  }
+  let ncpus = Machine.ncpus m and throughput = Scenario.per_mcycle ops wall in
+  let counters =
+    [ ("ipis", Json.int (sum_cpus m Machine.Perf.ipis_sent));
+      ("xmsgs", Json.int (Mach.Sched.total_xmsgs e.sys));
+      ("steals", Json.int (Mach.Sched.total_steals e.sys));
+      ("coherence_misses", Json.int (sum_cpus m Machine.Perf.coherence_misses));
+      ("bus_stall_cycles", Json.int (sum_cpus m Machine.Perf.bus_stall_cycles));
+      ("bus_transactions", Json.int (Machine.Bus.transactions m.Machine.bus)) ]
+  in
+  ( workload ^ placement,
+    ncpus,
+    throughput,
+    fun speedup ->
+      ( (if workload = "ipc" && placement = "colocated" && ncpus = 4 then
+           [ Experiment.at_least "ipc_speedup_4cpu" speedup 1.5 ]
+         else []),
+        [ ("workload", Json.Str workload); ("placement", Json.Str placement);
+          ("ncpus", Json.int ncpus); ("ops", Json.int ops);
+          ("wall_cycles", Json.int wall);
+          ("throughput_ops_per_mcycle", Json.fixed 3 throughput);
+          ("speedup", Json.fixed 3 speedup) ]
+        @ counters ) )
 
 (* --- workload 1: RPC round-trip pairs ---------------------------------- *)
 
@@ -168,78 +151,38 @@ let run ?(cpus = default_cpus) ?(pairs = 8) ?(iters = 150) ?(bytes = 512)
     (fun n -> if n < 1 then invalid_arg "Smp_scaling.run: ncpus must be >= 1")
     cpus;
   let points =
-    List.concat_map
-      (fun ncpus ->
-        [
-          measure_ipc ~ncpus ~placement:Colocated ~pairs ~iters ~bytes;
-          measure_ipc ~ncpus ~placement:Crossed ~pairs ~iters ~bytes;
-          measure_ipc ~ncpus ~placement:Unbalanced ~pairs ~iters ~bytes;
-          measure_fileserver ~ncpus ~clients ~sessions;
-        ])
-      cpus
-  in
-  {
-    r_cpus = cpus;
-    r_pairs = pairs;
-    r_iters = iters;
-    r_bytes = bytes;
-    r_clients = clients;
-    r_sessions = sessions;
     (* each series against its own 1-CPU point *)
-    r_points =
-      Scenario.speedups
-        (fun p -> (p.sp_workload ^ p.sp_placement, p.sp_ncpus, p.sp_throughput))
-        (fun p sp_speedup -> { p with sp_speedup })
-        points;
-    r_state =
-      List.map (fun n -> Machine.Footprint.machine_state (Scenario.config n)) cpus;
-  }
-
-(* The headline acceptance number: colocated ipc speedup at 4 CPUs, when
-   the sweep has a 4-CPU point. *)
-let gates r =
-  List.filter_map
-    (fun pt ->
-      if pt.sp_workload = "ipc" && pt.sp_placement = "colocated"
-         && pt.sp_ncpus = 4
-      then Some (Experiment.at_least "ipc_speedup_4cpu" pt.sp_speedup 1.5)
-      else None)
-    r.r_points
-
-let to_json r =
-  let ints l = Json.Arr (List.map Json.int l) in
-  [
-    ("cpus", ints r.r_cpus);
-    ( "ipc",
-      Json.Obj
-        [ ("pairs", Json.int r.r_pairs); ("iters", Json.int r.r_iters);
-          ("bytes", Json.int r.r_bytes) ] );
-    ( "fileserver",
-      Json.Obj
-        [ ("clients", Json.int r.r_clients);
-          ("sessions", Json.int r.r_sessions) ] );
-    ( "machine_state",
-      Json.rows
-        (fun (ms : Machine.Footprint.machine_state) ->
-          [ ("ncpus", Json.int ms.ms_ncpus);
-            ("cache_bytes_per_cpu", Json.int ms.ms_cache_bytes_per_cpu);
-            ("tlb_bytes_per_cpu", Json.int ms.ms_tlb_bytes_per_cpu);
-            ("bus_directory_bytes", Json.int ms.ms_bus_directory_bytes);
-            ("total_bytes", Json.int ms.ms_total_bytes) ])
-        r.r_state );
-    ( "results",
-      Json.rows
-        (fun p ->
-          [ ("workload", Json.Str p.sp_workload);
-            ("placement", Json.Str p.sp_placement);
-            ("ncpus", Json.int p.sp_ncpus); ("ops", Json.int p.sp_ops);
-            ("wall_cycles", Json.int p.sp_wall_cycles);
-            ("throughput_ops_per_mcycle", Json.fixed 3 p.sp_throughput);
-            ("speedup", Json.fixed 3 p.sp_speedup);
-            ("ipis", Json.int p.sp_ipis); ("xmsgs", Json.int p.sp_xmsgs);
-            ("steals", Json.int p.sp_steals);
-            ("coherence_misses", Json.int p.sp_coherence_misses);
-            ("bus_stall_cycles", Json.int p.sp_bus_stall_cycles);
-            ("bus_transactions", Json.int p.sp_bus_transactions) ])
-        r.r_points );
-  ]
+    Scenario.speedups
+      (List.concat_map
+         (fun ncpus ->
+           [
+             measure_ipc ~ncpus ~placement:Colocated ~pairs ~iters ~bytes;
+             measure_ipc ~ncpus ~placement:Crossed ~pairs ~iters ~bytes;
+             measure_ipc ~ncpus ~placement:Unbalanced ~pairs ~iters ~bytes;
+             measure_fileserver ~ncpus ~clients ~sessions;
+           ])
+         cpus)
+  in
+  Experiment.result ~gates:(List.concat_map fst points)
+    [
+      ("cpus", Json.Arr (List.map Json.int cpus));
+      ( "ipc",
+        Json.Obj
+          [ ("pairs", Json.int pairs); ("iters", Json.int iters);
+            ("bytes", Json.int bytes) ] );
+      ( "fileserver",
+        Json.Obj
+          [ ("clients", Json.int clients); ("sessions", Json.int sessions) ] );
+      ( "machine_state",
+        (* per-CPU machine-state bytes at each CPU count (density) *)
+        Json.rows
+          (fun n ->
+            let ms = Machine.Footprint.machine_state (Scenario.config n) in
+            [ ("ncpus", Json.int ms.ms_ncpus);
+              ("cache_bytes_per_cpu", Json.int ms.ms_cache_bytes_per_cpu);
+              ("tlb_bytes_per_cpu", Json.int ms.ms_tlb_bytes_per_cpu);
+              ("bus_directory_bytes", Json.int ms.ms_bus_directory_bytes);
+              ("total_bytes", Json.int ms.ms_total_bytes) ])
+          cpus );
+      ("results", Json.rows snd points);
+    ]

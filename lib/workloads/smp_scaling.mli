@@ -7,45 +7,12 @@
     the 1-CPU anchor, and the SMP cost counters (IPIs, scheduler
     messages, steals, coherence misses, bus stalls). *)
 
-type placement = Colocated | Crossed | Unbalanced
-
-type point = {
-  sp_workload : string;  (** ["ipc"] or ["fileserver"] *)
-  sp_placement : string;
-  sp_ncpus : int;
-  sp_ops : int;
-  sp_wall_cycles : int;  (** furthest-ahead CPU clock at completion *)
-  sp_throughput : float;  (** ops per million cycles of wall clock *)
-  sp_speedup : float;  (** vs the 1-CPU point of the same series *)
-  sp_ipis : int;
-  sp_xmsgs : int;  (** cross-CPU scheduler messages delivered *)
-  sp_steals : int;
-  sp_coherence_misses : int;
-  sp_bus_stall_cycles : int;
-  sp_bus_transactions : int;
-}
-
-type result = {
-  r_cpus : int list;
-  r_pairs : int;
-  r_iters : int;
-  r_bytes : int;
-  r_clients : int;
-  r_sessions : int;
-  r_points : point list;
-  r_state : Machine.Footprint.machine_state list;
-      (** per-CPU machine-state bytes at each CPU count (density) *)
-}
-
 val run :
   ?cpus:int list -> ?pairs:int -> ?iters:int -> ?bytes:int -> ?clients:int ->
-  ?sessions:int -> unit -> result
-(** Defaults: CPUs [1;2;4;8], 8 pairs x 150 round trips of 512 bytes,
-    6 clients x 4 edit sessions. *)
-
-val gates : result -> Experiment.gate list
-(** Colocated-ipc throughput at 4 CPUs is at least 1.5x of 1 CPU — the
-    headline scaling number; absent when the sweep has no 4-CPU point. *)
-
-val to_json : result -> (string * Json.t) list
-(** The fields of [BENCH_smp.json] after the envelope. *)
+  ?sessions:int -> unit -> Experiment.result
+(** [BENCH_smp.json]: one ["results"] row per (workload, placement,
+    CPU count) point and the per-CPU machine-state bytes at each CPU
+    count.  Defaults: CPUs [1;2;4;8], 8 pairs x 150 round trips of 512
+    bytes, 6 clients x 4 edit sessions.  Gate: colocated-ipc throughput
+    at 4 CPUs at least 1.5x of 1 CPU — the headline scaling number;
+    absent when the sweep has no 4-CPU point. *)

@@ -21,32 +21,6 @@
 
 module F = Fileserver
 
-type phase = {
-  ph_name : string;
-  ph_ops : int;
-  ph_cycles : int;
-  ph_cycles_per_op : float;
-  ph_hits : int;  (* positive + negative cache hits during the phase *)
-  ph_misses : int;
-  ph_hit_rate : float;  (* hits / (hits + misses); 0 when no probes *)
-}
-
-type result = {
-  r_depth : int;
-  r_files : int;
-  r_repeats : int;
-  r_cpus : int;
-  r_phases : phase list;
-  r_hot_hit_rate : float;
-  r_deep_cached_cycles_per_op : float;
-  r_deep_raw_cycles_per_op : float;
-  r_deep_speedup : float;
-  r_concurrent_ok : int;
-  r_concurrent_expected : int;
-  r_compromises : int;
-  r_cache : F.Namecache.stats;  (* final cache counters *)
-}
-
 let ok_exn = function Ok v -> v | Error e -> Scenario.fail_fs e
 
 let deep_path depth =
@@ -76,22 +50,20 @@ let run ?(depth = 12) ?(files = 48) ?(repeats = 6) ?(cpus = 4) () =
     in
     let misses = s1.F.Namecache.cs_misses - s0.F.Namecache.cs_misses in
     let probes = hits + misses in
-    let ph =
-      {
-        ph_name = name;
-        ph_ops = ops;
-        ph_cycles = cycles;
-        ph_cycles_per_op =
-          (if ops = 0 then 0.0
-           else float_of_int cycles /. float_of_int ops);
-        ph_hits = hits;
-        ph_misses = misses;
-        ph_hit_rate =
-          (if probes = 0 then 0.0
-           else float_of_int hits /. float_of_int probes);
-      }
+    let per_op =
+      if ops = 0 then 0.0 else float_of_int cycles /. float_of_int ops
+    and hit_rate =
+      if probes = 0 then 0.0 else float_of_int hits /. float_of_int probes
     in
-    phases := ph :: !phases
+    phases :=
+      ( name,
+        (per_op, hit_rate),
+        [ ("phase", Json.Str name); ("ops", Json.int ops);
+          ("cycles", Json.int cycles);
+          ("cycles_per_op", Json.fixed 1 per_op);
+          ("cache_hits", Json.int hits); ("cache_misses", Json.int misses);
+          ("hit_rate", Json.fixed 4 hit_rate) ] )
+      :: !phases
   in
   let stat_all () =
     ignore (ok_exn (F.Vfs.stat vfs sem ~path:(deep_path depth)));
@@ -142,67 +114,43 @@ let run ?(depth = 12) ?(files = 48) ?(repeats = 6) ?(cpus = 4) () =
             done)
       done);
   fun () ->
-    let phase name = List.find (fun p -> p.ph_name = name) !phases in
-    let hot = phase "hot" in
-    let cached = phase "deep-cached" in
-    let raw = phase "deep-raw" in
-    {
-      r_depth = depth;
-      r_files = files;
-      r_repeats = repeats;
-      r_cpus = cpus;
-      r_phases = List.rev !phases;
-      r_hot_hit_rate = hot.ph_hit_rate;
-      r_deep_cached_cycles_per_op = cached.ph_cycles_per_op;
-      r_deep_raw_cycles_per_op = raw.ph_cycles_per_op;
-      r_deep_speedup =
-        (if cached.ph_cycles_per_op > 0.0 then
-           raw.ph_cycles_per_op /. cached.ph_cycles_per_op
-         else 0.0);
-      r_concurrent_ok = !concurrent_ok;
-      r_concurrent_expected = cpus * files;
-      r_compromises = F.Vfs.compromises vfs;
-      r_cache = F.Vfs.cache_stats vfs;
-    }
-
-let to_json r =
-  let c = r.r_cache in
-  [
-    ( "config",
-      Json.Obj
-        [ ("depth", Json.int r.r_depth); ("files", Json.int r.r_files);
-          ("repeats", Json.int r.r_repeats); ("cpus", Json.int r.r_cpus) ] );
-    ( "phases",
-      Json.rows
-        (fun p ->
-          [ ("phase", Json.Str p.ph_name); ("ops", Json.int p.ph_ops);
-            ("cycles", Json.int p.ph_cycles);
-            ("cycles_per_op", Json.fixed 1 p.ph_cycles_per_op);
-            ("cache_hits", Json.int p.ph_hits);
-            ("cache_misses", Json.int p.ph_misses);
-            ("hit_rate", Json.fixed 4 p.ph_hit_rate) ])
-        r.r_phases );
-    ("hot_hit_rate", Json.fixed 4 r.r_hot_hit_rate);
-    ("deep_cached_cycles_per_op", Json.fixed 1 r.r_deep_cached_cycles_per_op);
-    ("deep_raw_cycles_per_op", Json.fixed 1 r.r_deep_raw_cycles_per_op);
-    ("deep_speedup", Json.fixed 2 r.r_deep_speedup);
-    ( "concurrent",
-      Json.Obj
-        [ ("completed", Json.int r.r_concurrent_ok);
-          ("expected", Json.int r.r_concurrent_expected) ] );
-    ("compromises", Json.int r.r_compromises);
-    ( "cache",
-      Json.Obj
-        [ ("capacity", Json.int c.F.Namecache.cs_capacity);
-          ("entries", Json.int c.F.Namecache.cs_entries);
-          ("insertions", Json.int c.F.Namecache.cs_insertions);
-          ("evictions", Json.int c.F.Namecache.cs_evictions);
-          ("invalidations", Json.int c.F.Namecache.cs_invalidations) ] );
-  ]
-
-let gates r =
-  [ Experiment.at_least "hot_hit_rate" r.r_hot_hit_rate 0.9;
-    Experiment.at_least "deep_speedup" r.r_deep_speedup 2.0;
-    Experiment.at_most "concurrent_failed"
-      (float_of_int (r.r_concurrent_expected - r.r_concurrent_ok))
-      0.0 ]
+    (* cycles per op and hit rate of a phase *)
+    let phase name =
+      let _, typed, _ = List.find (fun (n, _, _) -> n = name) !phases in
+      typed
+    in
+    let _, hot_hit_rate = phase "hot" in
+    let cached, _ = phase "deep-cached" in
+    let raw, _ = phase "deep-raw" in
+    let deep_speedup = if cached > 0.0 then raw /. cached else 0.0 in
+    let c = F.Vfs.cache_stats vfs in
+    Experiment.result
+      ~gates:
+        [ Experiment.at_least "hot_hit_rate" hot_hit_rate 0.9;
+          Experiment.at_least "deep_speedup" deep_speedup 2.0;
+          Experiment.at_most "concurrent_failed"
+            (float_of_int ((cpus * files) - !concurrent_ok))
+            0.0 ]
+      [
+        ( "config",
+          Json.Obj
+            [ ("depth", Json.int depth); ("files", Json.int files);
+              ("repeats", Json.int repeats); ("cpus", Json.int cpus) ] );
+        ("phases", Json.rows (fun (_, _, row) -> row) (List.rev !phases));
+        ("hot_hit_rate", Json.fixed 4 hot_hit_rate);
+        ("deep_cached_cycles_per_op", Json.fixed 1 cached);
+        ("deep_raw_cycles_per_op", Json.fixed 1 raw);
+        ("deep_speedup", Json.fixed 2 deep_speedup);
+        ( "concurrent",
+          Json.Obj
+            [ ("completed", Json.int !concurrent_ok);
+              ("expected", Json.int (cpus * files)) ] );
+        ("compromises", Json.int (F.Vfs.compromises vfs));
+        ( "cache",
+          Json.Obj
+            [ ("capacity", Json.int c.F.Namecache.cs_capacity);
+              ("entries", Json.int c.F.Namecache.cs_entries);
+              ("insertions", Json.int c.F.Namecache.cs_insertions);
+              ("evictions", Json.int c.F.Namecache.cs_evictions);
+              ("invalidations", Json.int c.F.Namecache.cs_invalidations) ] );
+      ]

@@ -561,9 +561,7 @@ let test_stress_workloads_clean_and_json () =
   (* the bench document embeds the same report *)
   let doc =
     Workloads.Experiment.(
-      document "ipc-stress"
-        { (result (Workloads.Ipc_stress.to_json ipc)) with
-          check = Some rep_ipc })
+      document "ipc-stress" { ipc with check = Some rep_ipc })
   in
   match J.parse doc with
   | Error e -> Alcotest.failf "ipc-stress json does not parse: %s" e

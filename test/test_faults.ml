@@ -294,8 +294,7 @@ let test_fault_sweep_smoke () =
       ~rates:[ 20_000 ] ()
   in
   let json =
-    Workloads.Experiment.(
-      document "fault-sweep" (result (Workloads.Fault_sweep.to_json r)))
+    Workloads.Experiment.document "fault-sweep" r
   in
   let module J = Json in
   match J.parse json with

@@ -71,7 +71,7 @@ let test_bad_counts () =
       ("bad_noblock.ml", 3);
       ("bad_heartbeat.ml", 3);
       ("bad_interface.ml", 3);
-      ("bad_provenance.ml", 3);
+      ("bad_provenance.ml", 4);
       ("bad_hotpath.ml", 3);
     ]
 

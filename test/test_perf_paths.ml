@@ -215,18 +215,19 @@ let test_store_penalty_not_truncated () =
 (* --- ipc-stress output ---------------------------------------------------- *)
 
 let test_ipc_stress_smoke () =
-  let open Workloads.Ipc_stress in
-  let r = run ~workers:1 ~iters:5 ~sizes:[ 0; 32 ] () in
-  checki "two systems x two sizes" 4 (List.length r.r_points);
+  let r = Workloads.Ipc_stress.run ~workers:1 ~iters:5 ~sizes:[ 0; 32 ] () in
+  let points = Test_util.(rows "results" (body r)) in
+  checki "two systems x two sizes" 4 (List.length points);
   List.iter
     (fun p ->
-      checkb (p.pt_system ^ " cycles positive") true
-        (p.pt_sim_cycles_per_op > 0.))
-    r.r_points;
+      let system =
+        match Test_util.member "system" p with Json.Str s -> s | _ -> "?"
+      in
+      checkb (system ^ " cycles positive") true
+        (Test_util.num "sim_cycles_per_op" p > 0.))
+    points;
   (* the document the benchmark harness writes parses back *)
-  let text =
-    Workloads.Experiment.(document "ipc-stress" (result (to_json r)))
-  in
+  let text = Workloads.Experiment.document "ipc-stress" r in
   match Json.parse text with
   | Error e -> Alcotest.fail ("BENCH_ipc.json does not parse: " ^ e)
   | Ok doc ->
@@ -262,7 +263,10 @@ let test_ncpus1_numbers_unchanged () =
   let trap, rpc = Workloads.Micro.table2 () in
   checkf "table2 trap cycles" 964.0 trap.Workloads.Micro.t2_cycles;
   checkf "table2 rpc cycles" 5000.0 rpc.Workloads.Micro.t2_cycles;
-  let r = Workloads.Ipc_stress.run ~workers:2 ~iters:20 ~sizes:[ 0; 512; 4096 ] () in
+  let points =
+    Workloads.Ipc_stress.sim_cycles_per_op ~workers:2 ~iters:20
+      ~sizes:[ 0; 512; 4096 ] ()
+  in
   let golden =
     [
       (("mach_msg", 0), 41005.10); (("ibm_rpc", 0), 5791.55);
@@ -272,20 +276,17 @@ let test_ncpus1_numbers_unchanged () =
     ]
   in
   List.iter
-    (fun p ->
-      let open Workloads.Ipc_stress in
-      match List.assoc_opt (p.pt_system, p.pt_bytes) golden with
+    (fun ((system, bytes), cycles_per_op) ->
+      match List.assoc_opt (system, bytes) golden with
       | Some cycles ->
           checkf
-            (Printf.sprintf "%s/%d cycles per op" p.pt_system p.pt_bytes)
-            cycles p.pt_sim_cycles_per_op
+            (Printf.sprintf "%s/%d cycles per op" system bytes)
+            cycles cycles_per_op
       | None ->
-          Alcotest.failf "unexpected ipc-stress point %s/%d" p.pt_system
-            p.pt_bytes)
-    r.Workloads.Ipc_stress.r_points;
-  checki "every golden point measured"
-    (List.length golden)
-    (List.length r.Workloads.Ipc_stress.r_points)
+          Alcotest.failf "unexpected ipc-stress point %s/%d" system bytes)
+    points;
+  checki "every golden point measured" (List.length golden)
+    (List.length points)
 
 let suite =
   [

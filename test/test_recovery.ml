@@ -317,27 +317,32 @@ let test_restart_reclaims_pins () =
 (* --- the sweep at a small bound -------------------------------------------------- *)
 
 let test_crash_enumeration_small_bound () =
-  let open Workloads.Recovery_sweep in
-  let r, rep = Test_util.checked (run ~ops:2 ~max_points:32 ~series:[ 4 ]) in
-  Alcotest.(check bool) "every point enumerated" true r.r_exhaustive;
-  Alcotest.(check bool) "points were checked" true (r.r_points_checked > 0);
-  Alcotest.(check int) "no acknowledged write lost" 0 r.r_lost_writes;
-  Alcotest.(check int) "no torn recovered state" 0 r.r_torn_states;
+  let open Test_util in
+  let r, rep =
+    checked (Workloads.Recovery_sweep.run ~ops:2 ~max_points:32 ~series:[ 4 ])
+  in
+  let r = body r in
+  let points = rows "crash_points" r in
+  Alcotest.(check bool) "every point enumerated" true (flag "exhaustive" r);
+  Alcotest.(check bool) "points were checked" true (int "points_checked" r > 0);
+  Alcotest.(check int) "no acknowledged write lost" 0 (int "lost_writes" r);
+  Alcotest.(check int) "no torn recovered state" 0 (int "torn_states" r);
   List.iter
     (fun p ->
       Alcotest.(check int)
-        (Printf.sprintf "crash@%d fsck clean" p.cp_write)
-        0 p.cp_fsck_findings)
-    r.r_points;
+        (Printf.sprintf "crash@%d fsck clean" (int "write" p))
+        0 (int "fsck_findings" p))
+    points;
   (* acknowledged-op counts never decrease along the write axis *)
   let rec monotone = function
     | a :: (b :: _ as rest) ->
-        Alcotest.(check bool) "acked monotone" true (a.cp_acked <= b.cp_acked);
+        Alcotest.(check bool) "acked monotone" true
+          (int "acked_ops" a <= int "acked_ops" b);
         monotone rest
     | _ -> ()
   in
-  monotone r.r_points;
-  Alcotest.(check int) "checker saw every point" r.r_points_checked
+  monotone points;
+  Alcotest.(check int) "checker saw every point" (int "points_checked" r)
     (Check.count rep "crash_points");
   Alcotest.(check int) "no machcheck findings" 0 (Check.total_findings rep)
 
@@ -346,24 +351,28 @@ let test_crash_enumeration_small_bound () =
    alone: the 4-op script issues 58 writes, and a cut at every one of
    them recovers with nothing lost and nothing torn. *)
 let test_crash_points_pinned () =
-  let open Workloads.Recovery_sweep in
-  let r = run ~ops:4 ~max_points:1024 ~series:[ 4 ] () in
-  Alcotest.(check int) "crash points" 58 r.r_total_writes;
-  Alcotest.(check int) "every point checked" 58 r.r_points_checked;
-  Alcotest.(check bool) "exhaustive" true r.r_exhaustive;
-  Alcotest.(check int) "lost" 0 r.r_lost_writes;
-  Alcotest.(check int) "torn" 0 r.r_torn_states
+  let open Test_util in
+  let r =
+    body (Workloads.Recovery_sweep.run ~ops:4 ~max_points:1024 ~series:[ 4 ] ())
+  in
+  Alcotest.(check int) "crash points" 58 (int "total_writes" r);
+  Alcotest.(check int) "every point checked" 58 (int "points_checked" r);
+  Alcotest.(check bool) "exhaustive" true (flag "exhaustive" r);
+  Alcotest.(check int) "lost" 0 (int "lost_writes" r);
+  Alcotest.(check int) "torn" 0 (int "torn_states" r)
 
 (* A one-point sample is the last write, not a division by zero. *)
 let test_one_point_sample () =
-  let open Workloads.Recovery_sweep in
-  let r = run ~ops:4 ~max_points:1 ~series:[] () in
-  Alcotest.(check int) "one point" 1 r.r_points_checked;
-  Alcotest.(check (list int)) "at the last write" [ r.r_total_writes ]
-    (List.map (fun p -> p.cp_write) r.r_points);
-  Alcotest.(check bool) "sampled" false r.r_exhaustive;
-  Alcotest.(check int) "lost" 0 r.r_lost_writes;
-  Alcotest.(check int) "torn" 0 r.r_torn_states
+  let open Test_util in
+  let r =
+    body (Workloads.Recovery_sweep.run ~ops:4 ~max_points:1 ~series:[] ())
+  in
+  Alcotest.(check int) "one point" 1 (int "points_checked" r);
+  Alcotest.(check (list int)) "at the last write" [ int "total_writes" r ]
+    (List.map (int "write") (rows "crash_points" r));
+  Alcotest.(check bool) "sampled" false (flag "exhaustive" r);
+  Alcotest.(check int) "lost" 0 (int "lost_writes" r);
+  Alcotest.(check int) "torn" 0 (int "torn_states" r)
 
 let suite =
   [

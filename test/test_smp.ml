@@ -26,14 +26,15 @@ let test_deterministic_interleaving () =
         ~clients:2 ~sessions:1 ()
     in
     List.map
-      (fun (p : Workloads.Smp_scaling.point) ->
-        ( p.Workloads.Smp_scaling.sp_wall_cycles,
-          p.Workloads.Smp_scaling.sp_ipis,
-          p.Workloads.Smp_scaling.sp_xmsgs,
-          p.Workloads.Smp_scaling.sp_steals,
-          p.Workloads.Smp_scaling.sp_coherence_misses,
-          p.Workloads.Smp_scaling.sp_bus_stall_cycles ))
-      r.Workloads.Smp_scaling.r_points
+      (fun p ->
+        Test_util.
+          ( int "wall_cycles" p,
+            int "ipis" p,
+            int "xmsgs" p,
+            int "steals" p,
+            int "coherence_misses" p,
+            int "bus_stall_cycles" p ))
+      Test_util.(rows "results" (body r))
   in
   let a = run () and b = run () in
   checki "same number of points" (List.length a) (List.length b);

@@ -29,6 +29,33 @@ let checked f =
       let r = f () in
       (r, Check.report (Option.get chk)))
 
+(* A workload's result read back the way its BENCH file records it: the
+   body as one object, and a number, an integer, a flag or the rows of an
+   array of an object. *)
+let body (r : Workloads.Experiment.result) = Json.Obj r.body
+
+let member key json =
+  match Json.member key json with
+  | Some v -> v
+  | None -> Alcotest.failf "no field %S" key
+
+let num key json =
+  match member key json with
+  | Json.Num n -> n
+  | _ -> Alcotest.failf "field %S is not a number" key
+
+let int key json = int_of_float (num key json)
+
+let flag key json =
+  match member key json with
+  | Json.Bool b -> b
+  | _ -> Alcotest.failf "field %S is not a flag" key
+
+let rows key json =
+  match member key json with
+  | Json.Arr rows -> rows
+  | _ -> Alcotest.failf "field %S is not an array" key
+
 (* Spawn a body in an existing task. *)
 let spawn kernel task name body =
   ignore (Mach.Kernel.thread_spawn kernel task ~name body : Mach.Ktypes.thread)

@@ -367,13 +367,12 @@ let test_vfs_walk_workload () =
     Test_util.checked
       (Workloads.Vfs_walk.run ~depth:6 ~files:8 ~repeats:3 ~cpus:2)
   in
-  let open Workloads.Vfs_walk in
   List.iter
     (fun (g : Workloads.Experiment.gate) ->
       Alcotest.(check bool)
         (Printf.sprintf "%s = %g" g.name g.value)
         true g.pass)
-    (gates r);
+    r.Workloads.Experiment.gates;
   Alcotest.(check int) "clean" 0 (Check.total_findings rep)
 
 let suite =

@@ -111,33 +111,61 @@ let test_ipc_sweep_band () =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+(* A checked-in smoke baseline, found from the test binary's place in the
+   build tree, so the test runs from any working directory. *)
+let smoke_baseline file =
+  read_file
+    (List.fold_left Filename.concat
+       (Filename.dirname Sys.executable_name)
+       [ Filename.parent_dir_name; "bench"; "smoke"; file ])
+
+(* The number of regressions [b] shows against [a] at [threshold], and
+   [a]'s top-level fields edited by [f]. *)
+let regressions_against ~threshold a b =
+  match Workloads.Bench_ab.compare_json ~a ~b ~threshold with
+  | Ok v -> v.Workloads.Bench_ab.v_regressions
+  | Error e -> Alcotest.fail e
+
+let edit_fields a f =
+  match Json.parse a with
+  | Ok (Json.Obj fields) -> Json.to_string (Json.Obj (f fields))
+  | _ -> Alcotest.fail "baseline is not a JSON object"
+
+(* [set key f] maps the field [key] through [f]; [within key f] edits
+   the fields of the object at [key]. *)
+let set key f = List.map (fun (k, v) -> (k, if k = key then f v else v))
+
+let within key f =
+  set key (function Json.Obj fields -> Json.Obj (f fields) | v -> v)
+
 (* Known-bad: a one-leaf edit of a checked-in smoke baseline fails the
    threshold-0 diff, even on a leaf no direction gates, and so does a
-   leaf missing from one side. *)
+   leaf missing from one side, an edited string leaf and an edited
+   input seed of the body. *)
 let test_exact_diff_known_bad () =
-  let baseline = read_file "../bench/smoke/BENCH_vfs.json" in
-  let regressions ~threshold b =
-    match Workloads.Bench_ab.compare_json ~a:baseline ~b ~threshold with
-    | Ok v -> v.Workloads.Bench_ab.v_regressions
-    | Error e -> Alcotest.fail e
-  in
-  let edit f =
-    match Json.parse baseline with
-    | Ok (Json.Obj fields) -> Json.to_string (Json.Obj (f fields))
-    | _ -> Alcotest.fail "baseline is not a JSON object"
-  in
+  let baseline = smoke_baseline "BENCH_vfs.json" in
+  let regressions ~threshold = regressions_against ~threshold baseline
+  and edit = edit_fields baseline in
   Alcotest.(check int) "baseline vs itself" 0
     (regressions ~threshold:0.0 baseline);
-  let edited =
-    edit (List.map (fun (k, v) -> (k, if k = "compromises" then Json.int 1 else v)))
-  in
+  let edited = edit (set "compromises" (fun _ -> Json.int 1)) in
   Alcotest.(check int) "one edited leaf fails exactly" 1
     (regressions ~threshold:0.0 edited);
   Alcotest.(check int) "a direction-free leaf is not gated at 5%" 0
     (regressions ~threshold:0.05 edited);
   Alcotest.(check int) "a missing leaf fails exactly" 1
     (regressions ~threshold:0.0
-       (edit (List.filter (fun (k, _) -> k <> "compromises"))))
+       (edit (List.filter (fun (k, _) -> k <> "compromises"))));
+  (* a gate's bound is a string leaf that no array is keyed by *)
+  Alcotest.(check int) "an edited string leaf fails exactly" 1
+    (regressions ~threshold:0.0
+       (edit
+          (within "gates"
+             (within "hot_hit_rate" (set "bound" (fun _ -> Json.Str ">= 0.8"))))));
+  let faults = smoke_baseline "BENCH_faults.json" in
+  Alcotest.(check int) "an edited body seed fails exactly" 1
+    (regressions_against ~threshold:0.0 faults
+       (edit_fields faults (set "seed" (fun _ -> Json.int 7))))
 
 (* Known-bad: a gate forced below its bound is written with
    "pass": false and makes the run's exit status 1, and so does a
@@ -146,8 +174,8 @@ let test_failed_gate_known_bad () =
   let open Workloads.Experiment in
   let entry ?(checked = []) ?(full = ignore) gates =
     make ~file:"BENCH_known_bad.json" "known-bad"
-      { full; smoke = None; machcheck = None; checked }
-      (fun () -> result ~gates [])
+      { full = (fun () -> full (); result ~gates []); smoke = None;
+        machcheck = None; checked }
   in
   Alcotest.(check int) "passing gate" 0
     (run Full [ entry [ at_least "forced" 1.0 1.0 ] ]);
